@@ -203,12 +203,16 @@ def cost_table_audit() -> AuditOutcome:
     return AuditOutcome("cost-table", True, len(TABLE_ONE), "all ten values reproduced")
 
 
+def _first_gap_failure(gaps: habitat.GapAudit) -> str:
+    rec, nm = next((rec, nm) for rec in gaps.records for nm in rec.failing_gaps())
+    lo, hi = habitat.GAP_BOUNDS[nm]
+    return f"first failure at k={rec.k}: {nm}={getattr(rec, nm):.6g} outside [{lo:.6g}, {hi:.6g}]"
+
+
 def cost_gap_audit(k_max: int = 1000) -> AuditOutcome:
     gaps = habitat.audit_cost_gaps(k_max)
-    detail = (
-        f"k=1 anomaly w1-z0={gaps.k1_anomaly:.3f} < 2 (reported, not asserted); "
-        f"intervals hold for 2 <= k <= {k_max}"
-    )
+    verdict = f"intervals hold for 2 <= k <= {k_max}" if gaps.ok else _first_gap_failure(gaps)
+    detail = f"k=1 anomaly w1-z0={gaps.k1_anomaly:.3f} < 2 (reported, not asserted); {verdict}"
     return AuditOutcome("cost-gaps", gaps.ok, k_max, detail)
 
 

@@ -1,8 +1,9 @@
 """Command-line surface: gen, ratio, sweep, brute, anneal, habitat, persist, audit, render.
 
 Exit codes: 0 success, 2 bad configuration (argparse), 3 construction error,
-4 audit violation, 5 render/output failure.  All machine output uses '.' as
-the decimal separator and 12 significant digits; runs that take a --seed are
+4 audit violation, 5 render/output failure, 6 internal invariant violated (a
+bug, reported instead of a traceback).  All machine output uses '.' as the
+decimal separator and 12 significant digits; runs that take a --seed are
 byte-reproducible.  MSTRATIO_THREADS > 1 parallelizes sweeps across parameter
 values with deterministic output ordering.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,13 +25,14 @@ from .constructions import (
     mst_ratio,
     multiway_ratio,
 )
-from .errors import MstRatioError
+from .errors import InvariantViolation, MstRatioError
 from .lattice import Metric, cloud_from_doc, cloud_to_doc
 
 EXIT_CONFIG = 2
 EXIT_CONSTRUCTION = 3
 EXIT_AUDIT = 4
 EXIT_IO = 5
+EXIT_INVARIANT = 6
 
 
 def _f12(x):
@@ -116,13 +119,17 @@ def _parse_values(text: str) -> list[float]:
         parts = [float(x) for x in text.split(":")]
         start, stop = parts[0], parts[1]
         step = parts[2] if len(parts) > 2 else 1.0
-        out = []
-        v = start
-        while v <= stop + 1e-9:
-            out.append(v)
-            v += step
-        return out
+        if step <= 0:
+            raise MstRatioError(f"sweep step must be positive, got {step:g}")
+        count = math.floor((stop - start) / step + 1e-9) + 1
+        return [start + i * step for i in range(max(count, 0))]
     return [float(x) for x in text.split(",") if x]
+
+
+def _integral(value: float) -> int:
+    if abs(value - round(value)) > 1e-9:
+        raise MstRatioError(f"sweep value {value:g} is not an integer")
+    return round(value)
 
 
 def _sweep_row(task):
@@ -150,7 +157,7 @@ def cmd_sweep(args) -> int:
     if args.family == "stretched":
         tasks = [(args.family, float(v)) for v in values]
     else:
-        tasks = [(args.family, int(v)) for v in values]
+        tasks = [(args.family, _integral(v)) for v in values]
     workers = int(os.environ.get("MSTRATIO_THREADS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -338,6 +345,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except InvariantViolation as exc:
+        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (MstRatioError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION

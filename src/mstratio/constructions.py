@@ -16,6 +16,7 @@ from . import spanning
 from .errors import (
     DegenerateSublattice,
     EmptyCloud,
+    InvariantViolation,
     RegionTooSmall,
     TopologyMismatch,
     ZeroDenominator,
@@ -147,7 +148,7 @@ def multiway_ratio(cloud: PointCloud, coloring: Coloring, metric: Metric) -> Rat
         lengths, len_total, math.fsum(lengths) / len_total, coloring.counts
     )
     if coloring.arity == 2 and not supmax_check(report):
-        raise AssertionError(f"ratio {report.ratio} exceeds the universal cap")
+        raise InvariantViolation(f"ratio {report.ratio} exceeds the universal cap")
     return report
 
 
@@ -327,9 +328,9 @@ def stretched_hex(r: float) -> tuple[PointCloud, Coloring]:
     b = int((center & (labels == 0)).sum())
     n, m = cloud.size, int((labels == 0).sum())
     if (p, q, b, n, m) != (form.p, form.q, form.b, form.n, form.m):
-        raise AssertionError("stretched window disagrees with the closed form")
+        raise InvariantViolation("stretched window disagrees with the closed form")
     if not (n - 2 * p <= 3 * m <= n + 2 * p):
-        raise AssertionError("blue count outside the expected band")
+        raise InvariantViolation("blue count outside the expected band")
     return cloud, Coloring(tuple(labels.tolist()), 2)
 
 

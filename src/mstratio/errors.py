@@ -56,3 +56,7 @@ EmptyClass = EmptySet
 
 class RegionTooSmall(MstRatioError):
     """Generation window too small for the requested construction."""
+
+
+class InvariantViolation(MstRatioError):
+    """An internal consistency check failed: a bug, not a bad input."""

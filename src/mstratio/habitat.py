@@ -8,8 +8,17 @@ Levels of the hierarchy are defined by threshold graphs on the blue points:
 * compounds(k): blocks(k) plus (hex = 2k+1 and Euclidean < 2k+1)
 
 This phrasing is tie-break-free and matches the nested component chain
-B1 ⊆ B2' ⊆ B2 ⊆ B3'.  Thickenings are exact unit-triangle sets on the torus,
-and backyards are the edge-connected components of their complement.
+B1 ⊆ B2' ⊆ B2 ⊆ B3'.  Each threshold graph keeps the pairs whose (hex, sq)
+falls below a fixed bound, so its edges are a prefix of the strict
+(hex, sq, a, b) order that ``spanning.hex_mst`` sorts by.  By the Kruskal
+prefix property the hex-MST edges inside that prefix span the same components:
+every count is m - #(tree edges in the prefix), the house and room labels are
+the components of those tree edges, and one tree per blue set serves every
+level.  The depth is read off the longest tree edge.
+
+Thickenings are exact unit-triangle sets on the torus, and backyards are the
+edge-connected components of their complement; both are computed on the
+torus's (n, n, 2) triangle array.
 """
 from __future__ import annotations
 
@@ -19,25 +28,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import lattice
+from . import lattice, spanning
 from .errors import EmptySet, PeriodTooSmall, TopologyMismatch
-from .lattice import Metric, PointCloud
+from .lattice import PointCloud
 
 # -- unit triangles ----------------------------------------------------------
 #
 # Triangle (i, j, 0) is the "up" triangle with vertices (i,j), (i+1,j), (i,j+1);
 # (i, j, 1) is the "down" triangle with vertices (i+1,j), (i,j+1), (i+1,j+1).
+# On the n-torus triangle (i, j, o) has the flat index (i*n + j)*2 + o, which
+# orders triangles as their tuples sort.
 
 Tri = tuple[int, int, int]
-
-
-def _tri_vertices(t: Tri, n: int) -> tuple[tuple[int, int], ...]:
-    i, j, o = t
-    if o == 0:
-        vs = ((i, j), (i + 1, j), (i, j + 1))
-    else:
-        vs = ((i + 1, j), (i, j + 1), (i + 1, j + 1))
-    return tuple((a % n, b % n) for a, b in vs)
 
 
 def _tri_neighbors(t: Tri, n: int):
@@ -62,20 +64,56 @@ def _tri_neighbors(t: Tri, n: int):
     return out
 
 
+def _triangle_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (up, down) index pairs of every edge-adjacent triangle pair on the torus.
+
+    Up triangle (i, j) meets down triangles (i, j), (i, j-1) and (i-1, j).
+    """
+    flat = np.arange(2 * n * n, dtype=np.int64).reshape(n, n, 2)
+    up, down = flat[:, :, 0].ravel(), flat[:, :, 1]
+    shifted = (down, np.roll(down, 1, axis=1), np.roll(down, 1, axis=0))
+    return np.tile(up, 3), np.concatenate([d.ravel() for d in shifted])
+
+
+def _tri_tuples(flat: np.ndarray, n: int) -> list[Tri]:
+    i, rest = np.divmod(flat, 2 * n)
+    j, o = np.divmod(rest, 2)
+    return list(zip(i.tolist(), j.tolist(), o.tolist()))
+
+
 @lru_cache(maxsize=None)
-def _hex_disk_triangles(k: int) -> tuple[Tri, ...]:
-    """The 6k² unit triangles of the hexagonal disk of radius k at the origin."""
-    tris = []
-    for i in range(-k - 1, k + 1):
-        for j in range(-k - 1, k + 1):
-            for o in (0, 1):
-                if o == 0:
-                    vs = ((i, j), (i + 1, j), (i, j + 1))
-                else:
-                    vs = ((i + 1, j), (i, j + 1), (i + 1, j + 1))
-                if all(lattice.hex_distance(a, b) <= k for a, b in vs):
-                    tris.append((i, j, o))
-    return tuple(tris)
+def _hex_disk_triangles(k: int) -> np.ndarray:
+    """The 6k² unit triangles (di, dj, o) of the hexagonal disk of radius k at the origin."""
+    r = np.arange(-k - 1, k + 1)
+    i, j, o = (x.ravel() for x in np.meshgrid(r, r, (0, 1), indexing="ij"))
+    # vertices (i+1, j) and (i, j+1) are shared; the third is (i+o, j+o)
+    far = np.maximum(
+        lattice.hex_distance_arr(i + 1, j),
+        np.maximum(lattice.hex_distance_arr(i, j + 1), lattice.hex_distance_arr(i + o, j + o)),
+    )
+    disk = np.column_stack([i, j, o])[far <= k]
+    disk.setflags(write=False)
+    return disk
+
+
+def _disk_cells(cloud: PointCloud, blue, k: int) -> np.ndarray:
+    """Flat indices of the k-disk triangles around each blue point, shape (m, 6k²)."""
+    n = cloud.topology.n
+    disk = _hex_disk_triangles(k)
+    centers = cloud.coords[np.asarray(blue, dtype=np.int64)]
+    i = (centers[:, :1] + disk[:, 0]) % n
+    j = (centers[:, 1:] + disk[:, 1]) % n
+    return (i * n + j) * 2 + disk[:, 2]
+
+
+def _triangle_components(mask: np.ndarray, n: int) -> np.ndarray:
+    """Component label of each triangle in the flat mask (-1 off the mask)."""
+    up, down = _triangle_edges(n)
+    both = mask[up] & mask[down]
+    labels = spanning.label_components(len(mask), up[both], down[both])
+    out = np.full(len(mask), -1, dtype=np.int64)
+    out[mask] = np.unique(labels[mask], return_inverse=True)[1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -89,23 +127,15 @@ class TriangleRegion:
         return len(self.triangles)
 
     def components(self) -> list[frozenset[Tri]]:
-        seen: set[Tri] = set()
-        comps = []
-        for start in sorted(self.triangles):
-            if start in seen:
-                continue
-            stack = [start]
-            seen.add(start)
-            comp = {start}
-            while stack:
-                t = stack.pop()
-                for nb, _ in _tri_neighbors(t, self.n):
-                    if nb in self.triangles and nb not in seen:
-                        seen.add(nb)
-                        comp.add(nb)
-                        stack.append(nb)
-            comps.append(frozenset(comp))
-        return comps
+        n = self.n
+        mask = np.zeros(2 * n * n, dtype=bool)
+        if self.triangles:
+            i, j, o = np.array(list(self.triangles), dtype=np.int64).T
+            mask[(i * n + j) * 2 + o] = True
+        flat = np.flatnonzero(mask)
+        tris = _tri_tuples(flat, n)
+        groups = spanning.label_groups(_triangle_components(mask, n)[flat])
+        return [frozenset(tris[i] for i in g) for g in groups]
 
     def boundary_edges(self) -> set[frozenset]:
         out = set()
@@ -139,61 +169,43 @@ def thickening(cloud: PointCloud, blue, k: int) -> TriangleRegion:
     blue = list(blue)
     if not blue:
         raise EmptySet("thickening of an empty set")
-    tris: set[Tri] = set()
-    disk = _hex_disk_triangles(k)
-    for p in blue:
-        ci, cj = int(cloud.coords[p, 0]), int(cloud.coords[p, 1])
-        for di, dj, o in disk:
-            tris.add(((ci + di) % n, (cj + dj) % n, o))
-    return TriangleRegion(n, frozenset(tris))
+    cells = np.unique(_disk_cells(cloud, blue, k))
+    return TriangleRegion(n, frozenset(_tri_tuples(cells, n)))
 
 
-# -- threshold-graph hierarchy --------------------------------------------------
+# -- levels from the hex MST ----------------------------------------------------
 
 
-def _pair_tables(cloud: PointCloud, blue: list[int]):
-    sub = cloud.subset(blue)
-    m = sub.size
-    ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    hexd = lattice.pair_hex(sub, Metric.HEX_TORUS, ii.ravel(), jj.ravel()).reshape(m, m)
-    sq = lattice.pair_sq(sub, Metric.EUCLIDEAN_TORUS, ii.ravel(), jj.ravel()).reshape(m, m)
-    return hexd, sq
+class _HexTree:
+    """Edge arrays of ``hex_mst`` on the selected points (indices into ``blue``)."""
 
+    def __init__(self, cloud: PointCloud, blue):
+        edges = spanning.hex_mst(cloud.subset(blue)).edges
+        self.size = len(blue)
+        self.a, self.b, self.hex_len = (
+            np.array([getattr(e, f) for e in edges], dtype=np.int64) for f in ("a", "b", "hex_len")
+        )
+        self.sq_len = np.array([e.sq_len for e in edges], dtype=float)
 
-def _component_labels(adj: np.ndarray) -> np.ndarray:
-    m = len(adj)
-    labels = np.full(m, -1, dtype=int)
-    current = 0
-    for s in range(m):
-        if labels[s] >= 0:
-            continue
-        stack = [s]
-        labels[s] = current
-        while stack:
-            x = stack.pop()
-            for y in np.flatnonzero(adj[x]):
-                if labels[y] < 0:
-                    labels[y] = current
-                    stack.append(int(y))
-        current += 1
-    return labels
+    def _prefix(self, k: int, kind: str) -> np.ndarray:
+        """Tree edges inside the level's threshold graph: hex <= h, and for
+        houses and compounds also hex = h+1 with Euclidean length < h+1."""
+        h = {"rooms": 2 * k - 1, "houses": 2 * k - 1, "blocks": 2 * k, "compounds": 2 * k}[kind]
+        inside = self.hex_len <= h
+        if kind in ("houses", "compounds"):
+            inside |= (self.hex_len == h + 1) & (self.sq_len < (h + 1) ** 2 - 1e-9)
+        return inside
 
+    def count(self, k: int, kind: str) -> int:
+        return self.size - int(self._prefix(k, kind).sum())
 
-def _level_adjacency(hexd, sq, k: int, kind: str) -> np.ndarray:
-    tol = 1e-9
-    if kind == "rooms":
-        adj = hexd <= 2 * k - 1
-    elif kind == "houses":
-        adj = (hexd <= 2 * k - 1) | ((hexd == 2 * k) & (sq < 4 * k * k - tol))
-    elif kind == "blocks":
-        adj = hexd <= 2 * k
-    elif kind == "compounds":
-        w = 2 * k + 1
-        adj = (hexd <= 2 * k) | ((hexd == w) & (sq < w * w - tol))
-    else:
-        raise ValueError(kind)
-    np.fill_diagonal(adj, False)
-    return adj
+    def labels(self, k: int, kind: str) -> np.ndarray:
+        keep = self._prefix(k, kind)
+        return spanning.label_components(self.size, self.a[keep], self.b[keep])
+
+    def depth(self) -> int:
+        """Smallest k with one room at level k+1: rooms(k) = 1 iff 2k-1 >= max hex."""
+        return int(self.hex_len.max()) // 2 if len(self.hex_len) else 0
 
 
 @dataclass(frozen=True)
@@ -241,8 +253,8 @@ class HabitatSummary:
 
 def house_labels(cloud: PointCloud, blue: list[int], k: int) -> np.ndarray:
     """House index for every selected point at level k."""
-    hexd, sq = _pair_tables(cloud, blue)
-    return _component_labels(_level_adjacency(hexd, sq, k, "houses"))
+    _require_torus(cloud, k)
+    return _HexTree(cloud, blue).labels(k, "houses")
 
 
 def habitat_summary(cloud: PointCloud, blue, k_max: int = 1) -> HabitatSummary:
@@ -250,74 +262,54 @@ def habitat_summary(cloud: PointCloud, blue, k_max: int = 1) -> HabitatSummary:
     blue = sorted(int(p) for p in blue)
     if not blue:
         raise EmptySet("habitat of an empty set")
-    n = _require_torus(cloud, k_max)
-    hexd, sq = _pair_tables(cloud, blue)
+    _require_torus(cloud, k_max)
+    tree = _HexTree(cloud, blue)
     levels: dict[int, HabitatLevel] = {}
     for k in range(1, k_max + 1):
-        counts = {
-            kind: int(_component_labels(_level_adjacency(hexd, sq, k, kind)).max()) + 1
-            for kind in ("rooms", "houses", "blocks", "compounds")
-        }
-        alpha, beta, _ = backyards(cloud, blue, k)
-        levels[k] = HabitatLevel(
-            counts["rooms"], counts["houses"], counts["blocks"], counts["compounds"],
-            alpha, beta,
-        )
-    depth = 0
-    k = 1
-    while True:
-        rooms_k = int(_component_labels(_level_adjacency(hexd, sq, k, "rooms")).max()) + 1
-        if rooms_k == 1:
-            depth = k - 1
-            break
-        k += 1
-        if 2 * k - 1 > 2 * n:  # every pair is within this hex distance on the torus
-            depth = k - 1
-            break
-    return HabitatSummary(levels, depth)
+        counts = [tree.count(k, kind) for kind in ("rooms", "houses", "blocks", "compounds")]
+        alpha, beta, _ = backyards(cloud, blue, k, houses=tree.labels(k, "houses"))
+        levels[k] = HabitatLevel(*counts, alpha, beta)
+    return HabitatSummary(levels, tree.depth())
 
 
-def backyards(cloud: PointCloud, blue, k: int):
+def backyards(cloud: PointCloud, blue, k: int, *, houses: np.ndarray | None = None):
     """Components of the background with their adjacent-house counts.
 
     Returns (alpha, beta, components): alpha counts backyards adjacent to at
     most two houses, beta those adjacent to three or more.  Adjacency means a
-    shared triangle edge.
+    shared triangle edge.  ``houses`` may carry the level-k house labels of
+    the sorted blue points when the caller already has them.
     """
     blue = sorted(int(p) for p in blue)
     n = _require_torus(cloud, k)
     if not blue:
         raise EmptySet("backyards of an empty set")
-    region = thickening(cloud, blue, k)
-    houses = house_labels(cloud, blue, k)
-    tri_house: dict[Tri, int] = {}
-    disk = _hex_disk_triangles(k)
-    for p, h in zip(blue, houses):
-        ci, cj = int(cloud.coords[p, 0]), int(cloud.coords[p, 1])
-        for di, dj, o in disk:
-            tri_house[((ci + di) % n, (cj + dj) % n, o)] = int(h)
-    background = {
-        (i, j, o)
-        for i in range(n)
-        for j in range(n)
-        for o in (0, 1)
-        if (i, j, o) not in region.triangles
-    }
-    comps = TriangleRegion(n, frozenset(background)).components()
-    alpha = beta = 0
-    out = []
-    for comp in comps:
-        adj: set[int] = set()
-        for t in comp:
-            for nb, _ in _tri_neighbors(t, n):
-                if nb in region.triangles:
-                    adj.add(tri_house[nb])
-        out.append((comp, adj))
-        if len(adj) >= 3:
-            beta += 1
-        else:
-            alpha += 1
-    return alpha, beta, out
+    if houses is None:
+        houses = house_labels(cloud, blue, k)
+    cells = _disk_cells(cloud, blue, k)
+    # overlapping disks share a room, so every covered triangle has one house
+    house = np.full(2 * n * n, -1, dtype=np.int64)
+    house[cells] = np.broadcast_to(np.asarray(houses)[:, None], cells.shape)
+    background = house < 0
+    yard = _triangle_components(background, n)
+    # (backyard, house) codes of every background/covered triangle edge
+    stride = int(house.max()) + 1
+    up, down = _triangle_edges(n)
+    pairs = []
+    for t, nb in ((up, down), (down, up)):
+        side = background[t] & ~background[nb]
+        pairs.append(yard[t[side]] * stride + house[nb[side]])
+    yard_house = np.unique(np.concatenate(pairs))
+    flat = np.flatnonzero(background)
+    tris, owners = _tri_tuples(flat, n), (yard_house % stride).tolist()
+    out = [
+        (frozenset(tris[i] for i in members), {owners[i] for i in adj})
+        for members, adj in zip(
+            spanning.label_groups(yard[flat]), spanning.label_groups(yard_house // stride)
+        )
+    ]
+    beta = sum(len(adj) >= 3 for _, adj in out)
+    return len(out) - beta, beta, out
 
 
 def check_backyard_bound(summary: HabitatSummary, k: int) -> bool:
@@ -328,14 +320,10 @@ def check_backyard_bound(summary: HabitatSummary, k: int) -> bool:
 
 def room_regions(cloud: PointCloud, blue, k: int) -> list[TriangleRegion]:
     """Thickening of each room separately (frontiers are per-room notions)."""
-    blue = sorted(int(p) for p in blue)
-    hexd, sq = _pair_tables(cloud, blue)
-    labels = _component_labels(_level_adjacency(hexd, sq, k, "rooms"))
-    out = []
-    for room in range(labels.max() + 1):
-        members = [blue[i] for i in np.flatnonzero(labels == room)]
-        out.append(thickening(cloud, members, k))
-    return out
+    blue = np.array(sorted(int(p) for p in blue), dtype=np.int64)
+    _require_torus(cloud, k)
+    labels = _HexTree(cloud, blue).labels(k, "rooms")
+    return [thickening(cloud, blue[g].tolist(), k) for g in spanning.label_groups(labels)]
 
 
 # -- edge-cost table -------------------------------------------------------------
@@ -409,6 +397,10 @@ class GapRecord:
     z_minus_y: float
     ok: bool
 
+    def failing_gaps(self) -> list[str]:
+        """Names of the asserted gaps of this record that fall outside GAP_BOUNDS."""
+        return [nm for nm in _asserted_gaps(self.k) if not _within(nm, getattr(self, nm))]
+
 
 @dataclass(frozen=True)
 class GapAudit:
@@ -437,6 +429,10 @@ def _within(name: str, value: float) -> bool:
     return lo - _GAP_TOL <= value <= hi + _GAP_TOL
 
 
+def _asserted_gaps(k: int) -> tuple[str, ...]:
+    return tuple(GAP_BOUNDS) if k >= 2 else ("x_minus_w", "y_minus_x", "z_minus_y")
+
+
 def audit_cost_gaps(k_max: int) -> GapAudit:
     """Check the four cost-difference intervals for 1 <= k <= k_max.
 
@@ -454,8 +450,7 @@ def audit_cost_gaps(k_max: int) -> GapAudit:
             "y_minus_x": cost_y(k) - cost_x(k),
             "z_minus_y": cost_z(k) - cost_y(k),
         }
-        names = list(gaps) if k >= 2 else ["x_minus_w", "y_minus_x", "z_minus_y"]
-        k_ok = all(_within(nm, gaps[nm]) for nm in names)
+        k_ok = all(_within(nm, gaps[nm]) for nm in _asserted_gaps(k))
         ok = ok and k_ok
         records.append(GapRecord(k, *gaps.values(), k_ok))
     return GapAudit(ok, cost_w(1) - 0.0, tuple(records))

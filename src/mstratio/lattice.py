@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -95,22 +96,32 @@ class Basis:
         return (a * di * di + 2 * b * di * dj + c * dj * dj) / 2.0
 
     def reduced(self) -> "Basis":
-        """Lagrange-Gauss reduction: ‖u‖ ≤ ‖v‖ and |u·v| ≤ ½‖u‖².
+        """Lagrange-Gauss reduction: ‖u‖ ≤ ‖v‖ and |u·v| ≤ ½‖u‖²."""
+        return self._reduction[0]
+
+    @cached_property
+    def _reduction(self) -> tuple["Basis", tuple[tuple[int, int], ...]]:
+        """The reduced basis and the inverse of the unimodular U with
+        (u', v') = U (u, v).
 
         Comparisons carry a relative tolerance so half-integral inputs (the
         hexagonal basis in particular) are already fixed points of the
         reduction despite float rounding.
         """
         u, v = self.u, self.v
+        (p, q), (r, s) = (1, 0), (0, 1)
         if _dot(v, v) < _dot(u, u) * (1.0 - 1e-12):
-            u, v = v, u
+            u, v, (p, q), (r, s) = v, u, (r, s), (p, q)
         while True:
             mu = round(_dot(u, v) / _dot(u, u))
             v = (v[0] - mu * u[0], v[1] - mu * u[1])
+            r, s = r - mu * p, s - mu * q
             if _dot(v, v) >= _dot(u, u) * (1.0 - 1e-12):
                 break
-            u, v = v, u
-        return Basis(u, v)
+            u, v, (p, q), (r, s) = v, u, (r, s), (p, q)
+        det = p * s - q * r  # ±1
+        inverse = ((det * s, -det * q), (-det * r, det * p))
+        return Basis(u, v), inverse
 
 
 def make_basis(u: Vec, v: Vec) -> Basis:
@@ -317,11 +328,18 @@ def generate_rhombus(basis: Basis, n: int, topology: Topology | None = None) -> 
 
 
 def _torus_sq_arr(basis: Basis, n: int, di: np.ndarray, dj: np.ndarray) -> np.ndarray:
-    """Min over the 9 translates (s,t) in {-1,0,1}² of |(di+sn)u + (dj+tn)v|²."""
+    """Min over the 9 translates (s,t) in {-1,0,1}² of |(di+sn)u + (dj+tn)v|².
+
+    (di, dj) is first re-expressed in the reduced basis, which spans the same
+    lattice and the same torus, and taken mod n there; for a reduced basis
+    the nearest translate is then among those 9.
+    """
+    reduced, ((a, b), (c, d)) = basis._reduction
+    di, dj = (di * a + dj * c) % n, (di * b + dj * d) % n
     best = None
     for s in (-1, 0, 1):
         for t in (-1, 0, 1):
-            sq = basis.sq_offset_arr(di + s * n, dj + t * n)
+            sq = reduced.sq_offset_arr(di + s * n, dj + t * n)
             best = sq if best is None else np.minimum(best, sq)
     return best
 

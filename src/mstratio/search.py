@@ -15,7 +15,7 @@ import numpy as np
 
 from . import lattice, spanning
 from .constructions import Coloring, RatioReport, supmax_check
-from .errors import StaleCache, TooLarge
+from .errors import InvariantViolation, StaleCache, TooLarge
 from .lattice import Metric, PointCloud
 
 _DENSE_LIMIT = 1500  # cache a dense distance matrix up to this many points
@@ -165,7 +165,8 @@ def brute_force_max(
                 best_lengths = (len_b, len_c)
     coloring = Coloring(best_labels, 2)
     report = RatioReport(best_lengths, len_total, best_ratio, coloring.counts)
-    assert supmax_check(report)
+    if not supmax_check(report):
+        raise InvariantViolation(f"ratio {report.ratio} exceeds the universal cap")
     return coloring, report
 
 

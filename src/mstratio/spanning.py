@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .errors import NotHexagonal, TopologyMismatch
+from .errors import InvariantViolation, NotHexagonal, TopologyMismatch
 from .lattice import Metric, PointCloud
 
 _FULL_PAIR_LIMIT = 420  # below this, all pairs are enumerated directly
@@ -51,27 +51,18 @@ class SpanningTree:
         return len(self.edges)
 
     def validate(self) -> None:
-        """Union-find check: acyclic, spanning, and consistent total length."""
-        parent = list(range(self.point_count))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges:
-            ra, rb = find(e.a), find(e.b)
-            if ra == rb:
-                raise AssertionError("cycle in spanning tree")
-            parent[ra] = rb
-        if self.point_count > 0:
-            roots = {find(i) for i in range(self.point_count)}
-            if len(roots) != 1:
-                raise AssertionError("tree does not span")
+        """Acyclic, spanning, and consistent total length, or InvariantViolation."""
+        labels = label_components(
+            self.point_count, [e.a for e in self.edges], [e.b for e in self.edges]
+        )
+        parts = int(labels.max()) + 1 if self.point_count else 0
+        if len(self.edges) > self.point_count - parts:
+            raise InvariantViolation("cycle in spanning tree")
+        if parts > 1:
+            raise InvariantViolation("tree does not span")
         expect = math.fsum(e.length for e in self.edges)
         if abs(expect - self.total_length) > 1e-9 * max(1.0, abs(expect)):
-            raise AssertionError("total length inconsistent")
+            raise InvariantViolation("total length inconsistent")
 
     def to_json(self) -> dict:
         return {
@@ -279,7 +270,8 @@ def _mst_edges(cloud: PointCloud, metric: Metric) -> list[Edge]:
     if cloud.coords is None or v <= _FULL_PAIR_LIMIT:
         a, b, sq, hx = _full_pair_arrays(cloud, metric)
         edges = _kruskal(v, a, b, sq, hx, metric.is_hex)
-        assert edges is not None
+        if edges is None:
+            raise InvariantViolation("complete graph failed to span")
         return edges
     # cutoff graph with growth; exact by the Kruskal prefix property
     sq_cut = 9.5 * _min_basis_sq(cloud.basis)
@@ -295,11 +287,11 @@ def _mst_edges(cloud: PointCloud, metric: Metric) -> list[Edge]:
                 return edges
         if metric.is_hex:
             if hex_cut > 2 * (cloud.topology.n or 0) + int(math.isqrt(int(sq_max))) + 2:
-                raise AssertionError("hex cutoff growth failed to span")
+                raise InvariantViolation("hex cutoff growth failed to span")
             hex_cut *= 2
         else:
             if sq_cut > 4 * sq_max:
-                raise AssertionError("cutoff growth failed to span")
+                raise InvariantViolation("cutoff growth failed to span")
             sq_cut *= 4
 
 
@@ -336,18 +328,45 @@ def filtered_forest(tree: SpanningTree, ell: int) -> Forest:
     if tree.kind != "hex":
         raise ValueError("filtered_forest expects a tree built by hex_mst")
     kept = tuple(e for e in tree.edges if e.hex_len is not None and e.hex_len <= ell)
-    parent = list(range(tree.point_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in kept:
-        parent[find(e.a)] = find(e.b)
-    groups: dict[int, list[int]] = {}
-    for p in range(tree.point_count):
-        groups.setdefault(find(p), []).append(p)
-    comps = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0]))
+    labels = label_components(tree.point_count, [e.a for e in kept], [e.b for e in kept])
+    comps = tuple(tuple(g) for g in label_groups(labels))
     return Forest(ell, comps, kept)
+
+
+# -- component labeling ----------------------------------------------------------
+
+
+def label_components(count: int, a, b) -> np.ndarray:
+    """Component label of each of ``count`` vertices in the graph with edges (a, b).
+
+    Labels are 0, 1, ... in the order of each component's smallest vertex.  Each
+    round hooks every root joined to a smaller root onto the smallest such
+    root, then compresses paths until every vertex points at a root; a root
+    never points above itself, so the final root of a component is its
+    smallest vertex.
+    """
+    root = np.arange(count, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    while True:
+        ra, rb = root[a], root[b]
+        cross = ra != rb
+        if not cross.any():
+            break
+        a, b = a[cross], b[cross]  # an edge inside one component stays inside
+        np.minimum.at(
+            root, np.maximum(ra[cross], rb[cross]), np.minimum(ra[cross], rb[cross])
+        )
+        while True:
+            nxt = root[root]
+            if np.array_equal(nxt, root):
+                break
+            root = nxt
+    return np.unique(root, return_inverse=True)[1]
+
+
+def label_groups(labels: np.ndarray) -> list[list[int]]:
+    """Members of each label 0, 1, ..., in increasing order."""
+    order = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return [order[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]

@@ -77,6 +77,29 @@ class TestSweep:
         _, par = run(capsys, "sweep", "--family", "quarter", "--values", "4:10:2")
         assert seq == par
 
+    def test_integer_family_range_has_no_duplicates(self, capsys):
+        code, out = run(capsys, "sweep", "--family", "checkerboard", "--values", "4:8:2")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["4", "6", "8"]
+
+    @pytest.mark.parametrize("values", ["4:6:0.5", "4.5", "4:6:0"])
+    def test_integer_family_rejects_fractional_or_empty_steps(self, capsys, values):
+        code, out = run(capsys, "sweep", "--family", "checkerboard", "--values", values)
+        assert code == 3
+        assert out == ""
+
+
+class TestInvariantViolation:
+    def test_failed_invariant_exits_six(self, capsys, monkeypatch):
+        from mstratio import constructions
+
+        monkeypatch.setattr(constructions, "supmax_check", lambda report: False)
+        code = main(["ratio", "--construction", "fig8"])
+        captured = capsys.readouterr()
+        assert code == 6
+        assert captured.out == ""
+        assert "internal invariant violated" in captured.err
+
 
 class TestGen:
     def test_reproducible_bytes(self, capsys):

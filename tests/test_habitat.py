@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mstratio import habitat
+from mstratio import audits, habitat, lattice
 from mstratio.constructions import packing_coloring
 from mstratio.errors import EmptySet, PeriodTooSmall
-from mstratio.lattice import Topology, generate_rhombus, hexagonal_basis
+from mstratio.lattice import Metric, Topology, generate_rhombus, hexagonal_basis
 from mstratio.spanning import filtered_forest, hex_mst
 
 SQRT3 = math.sqrt(3.0)
@@ -19,6 +19,123 @@ def torus(n):
 def point_index(cloud, i, j):
     hits = np.flatnonzero((cloud.coords[:, 0] == i) & (cloud.coords[:, 1] == j))
     return int(hits[0])
+
+
+# -- dense reference: threshold graphs on m x m pair tables, DFS components ------
+
+
+def _pair_tables(cloud, blue):
+    sub = cloud.subset(blue)
+    m = sub.size
+    ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    hexd = lattice.pair_hex(sub, Metric.HEX_TORUS, ii.ravel(), jj.ravel()).reshape(m, m)
+    sq = lattice.pair_sq(sub, Metric.EUCLIDEAN_TORUS, ii.ravel(), jj.ravel()).reshape(m, m)
+    return hexd, sq
+
+
+def _component_labels(adj):
+    labels = np.full(len(adj), -1, dtype=int)
+    current = 0
+    for s in range(len(adj)):
+        if labels[s] >= 0:
+            continue
+        stack = [s]
+        labels[s] = current
+        while stack:
+            x = stack.pop()
+            for y in np.flatnonzero(adj[x]):
+                if labels[y] < 0:
+                    labels[y] = current
+                    stack.append(int(y))
+        current += 1
+    return labels
+
+
+def _level_adjacency(hexd, sq, k, kind):
+    tol = 1e-9
+    if kind == "rooms":
+        adj = hexd <= 2 * k - 1
+    elif kind == "houses":
+        adj = (hexd <= 2 * k - 1) | ((hexd == 2 * k) & (sq < 4 * k * k - tol))
+    elif kind == "blocks":
+        adj = hexd <= 2 * k
+    else:
+        w = 2 * k + 1
+        adj = (hexd <= 2 * k) | ((hexd == w) & (sq < w * w - tol))
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def _reference_triangles(cloud, points, k):
+    n = cloud.topology.n
+    tris = set()
+    for p in points:
+        ci, cj = (int(x) for x in cloud.coords[p])
+        for i in range(-k - 1, k + 1):
+            for j in range(-k - 1, k + 1):
+                for o in (0, 1):
+                    corners = ((i + 1, j), (i, j + 1), (i + o, j + o))
+                    if all(lattice.hex_distance(a, b) <= k for a, b in corners):
+                        tris.add(((ci + i) % n, (cj + j) % n, o))
+    return tris
+
+
+def _reference_components(triangles, n):
+    """Edge-connected components by a set-based search, ordered by smallest triangle."""
+    seen, comps = set(), []
+    for start in sorted(triangles):
+        if start in seen:
+            continue
+        stack, comp = [start], {start}
+        seen.add(start)
+        while stack:
+            for nb, _ in habitat._tri_neighbors(stack.pop(), n):
+                if nb in triangles and nb not in seen:
+                    seen.add(nb)
+                    comp.add(nb)
+                    stack.append(nb)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def _reference_backyards(cloud, blue, k, houses):
+    """(alpha, beta, background, backyards) by set-based search over the triangles."""
+    n = cloud.topology.n
+    owner = {}
+    for p, h in zip(blue, houses):
+        for t in _reference_triangles(cloud, [p], k):
+            owner[t] = int(h)
+    background = {
+        (i, j, o) for i in range(n) for j in range(n) for o in (0, 1)
+    } - set(owner)
+    yards = _reference_components(background, n)
+    beta = sum(
+        len({owner[nb] for t in yard for nb, _ in habitat._tri_neighbors(t, n) if nb in owner})
+        >= 3
+        for yard in yards
+    )
+    return len(yards) - beta, beta, background, yards
+
+
+def _reference_summary(cloud, blue, k_max):
+    hexd, sq = _pair_tables(cloud, blue)
+    levels, labels = {}, {}
+    for k in range(1, k_max + 1):
+        kinds = ("rooms", "houses", "blocks", "compounds")
+        labels[k] = {
+            kind: _component_labels(_level_adjacency(hexd, sq, k, kind)) for kind in kinds
+        }
+        counts = [int(labels[k][kind].max()) + 1 for kind in kinds]
+        alpha, beta, _, _ = _reference_backyards(cloud, blue, k, labels[k]["houses"])
+        levels[k] = habitat.HabitatLevel(*counts, alpha, beta)
+    depth = 1
+    while _component_labels(_level_adjacency(hexd, sq, depth, "rooms")).max() > 0:
+        depth += 1
+    return habitat.HabitatSummary(levels, depth - 1), labels
+
+
+def _partition(labels):
+    return sorted(sorted(np.flatnonzero(labels == c).tolist()) for c in set(labels.tolist()))
 
 
 class TestThickening:
@@ -104,6 +221,54 @@ class TestHabitatSummary:
                 assert summary.levels[k].rooms == forest.component_count
 
 
+class TestAgainstDenseReference:
+    @pytest.mark.parametrize("n", [10, 13, 17])
+    def test_levels_labels_and_rooms_match(self, n):
+        rng = np.random.default_rng(n)
+        cloud = torus(n)
+        k_max = (n - 1) // 4
+        for _ in range(8):
+            mask = rng.random(cloud.size) < rng.uniform(0.02, 0.9)
+            mask[int(rng.integers(cloud.size))] = True
+            blue = [int(i) for i in np.flatnonzero(mask)]
+            expect, labels = _reference_summary(cloud, blue, k_max)
+            assert habitat.habitat_summary(cloud, blue, k_max) == expect
+            for k in range(1, k_max + 1):
+                houses = habitat.house_labels(cloud, blue, k)
+                assert _partition(houses) == _partition(labels[k]["houses"])
+                rooms = labels[k]["rooms"]
+                expect_rooms = sorted(
+                    sorted(_reference_triangles(cloud, [blue[i] for i in members], k))
+                    for members in _partition(rooms)
+                )
+                got_rooms = sorted(
+                    sorted(r.triangles) for r in habitat.room_regions(cloud, blue, k)
+                )
+                assert got_rooms == expect_rooms
+
+    @pytest.mark.parametrize("n", [10, 13])
+    def test_region_components_match(self, n):
+        rng = np.random.default_rng(100 + n)
+        cloud = torus(n)
+        for _ in range(6):
+            mask = rng.random(cloud.size) < rng.uniform(0.02, 0.5)
+            mask[int(rng.integers(cloud.size))] = True
+            blue = [int(i) for i in np.flatnonzero(mask)]
+            houses = habitat.house_labels(cloud, blue, 1)
+            _, _, background, yards = _reference_backyards(cloud, blue, 1, houses)
+            assert habitat.TriangleRegion(n, frozenset(background)).components() == yards
+            assert [comp for comp, _ in habitat.backyards(cloud, blue, 1)[2]] == yards
+            thick = habitat.thickening(cloud, blue, 1)
+            assert thick.components() == _reference_components(thick.triangles, n)
+
+    def test_quarter_packing_on_torus200(self):
+        cloud = torus(200)
+        blue = [int(i) for i in packing_coloring(cloud, "quarter").class_indices(0)]
+        lv = habitat.habitat_summary(cloud, blue, 1).levels[1]
+        assert (lv.rooms, lv.houses, lv.blocks, lv.compounds) == (10_000, 10_000, 1, 1)
+        assert (lv.alpha, lv.beta) == (0, 20_000)
+
+
 class TestBackyards:
     def test_singleton_backyard(self):
         alpha, beta, comps = habitat.backyards(torus(8), [0], 1)
@@ -182,6 +347,15 @@ class TestCostTable:
         rec1 = audit.records[0]
         lo, hi = habitat.GAP_BOUNDS["x_minus_w"]
         assert lo - 1e-12 <= rec1.x_minus_w <= hi
+
+    def test_failing_gap_audit_names_the_failure(self, monkeypatch):
+        bad = habitat.GapRecord(2, 2.5, 1.5, 2.5, 3.0, False)
+        failing = habitat.GapAudit(False, 1.928, (habitat.audit_cost_gaps(1).records[0], bad))
+        monkeypatch.setattr(habitat, "audit_cost_gaps", lambda k_max: failing)
+        outcome = audits.cost_gap_audit(2)
+        assert not outcome.ok
+        assert "intervals hold" not in outcome.detail
+        assert "k=2: z_minus_y=3" in outcome.detail
 
     def test_realizable_lengths_per_hex_length(self):
         table = habitat.cost_table(2)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mstratio.errors import (
@@ -181,6 +181,48 @@ class TestDistance:
                 for t in range(-2, 3)
             )
             assert nine == twenty_five
+
+    @staticmethod
+    def _reach(basis):
+        """Translate coefficients the nearest torus translate can need.
+
+        For x = d·M with |d| < n the nearest translate y has |y| <= |x|, so
+        its translate coefficients are at most 2(|u| + |v|)·‖M⁻¹‖ in size.
+        """
+        norm_inv = np.linalg.norm(np.linalg.inv(basis.matrix()), 2)
+        return 2 * (np.hypot(*basis.u) + np.hypot(*basis.v)) * norm_inv
+
+    def _assert_matches_wide_window(self, basis, n):
+        cloud = generate_rhombus(basis, n, Topology.torus(n))
+        ia, ib = np.triu_indices(cloud.size, k=1)
+        offsets, inverse = np.unique(
+            cloud.coords[ib] - cloud.coords[ia], axis=0, return_inverse=True
+        )
+        w = int(np.ceil(self._reach(basis))) + 1
+        s, t = np.meshgrid(np.arange(-w, w + 1), np.arange(-w, w + 1))
+        shifts = n * np.column_stack([s.ravel(), t.ravel()])
+        cart = (offsets[:, None, :] + shifts[None]) @ basis.matrix()
+        expect = (cart**2).sum(axis=2).min(axis=1)[inverse.ravel()]
+        got = pair_sq(cloud, Metric.EUCLIDEAN_TORUS, ia, ib)
+        assert got == pytest.approx(expect, rel=1e-9, abs=1e-12)
+
+    def test_non_reduced_basis(self):
+        # 190 of these 300 pair distances were too large with 9 raw translates
+        self._assert_matches_wide_window(Basis((1.0, 0.0), (3.3, 0.2)), 5)
+
+    @given(
+        entries=st.lists(st.integers(-20, 20), min_size=4, max_size=4),
+        shear=st.integers(-3, 3),
+        n=st.integers(2, 6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_torus_sq_matches_wide_window(self, entries, shear, n):
+        ux, uy, vx, vy = (x / 10 for x in entries)
+        vx, vy = vx + shear * ux, vy + shear * uy  # often leaves the basis unreduced
+        assume(abs(ux * vy - uy * vx) >= 1.0)
+        basis = Basis((ux, uy), (vx, vy))
+        assume(self._reach(basis) <= 25)
+        self._assert_matches_wide_window(basis, n)
 
 
 class TestHexDistance:
