@@ -180,12 +180,9 @@ class _HexTree:
     """Edge arrays of ``hex_mst`` on the selected points (indices into ``blue``)."""
 
     def __init__(self, cloud: PointCloud, blue):
-        edges = spanning.hex_mst(cloud.subset(blue)).edges
+        tree = spanning.hex_mst(cloud.subset(blue))
         self.size = len(blue)
-        self.a, self.b, self.hex_len = (
-            np.array([getattr(e, f) for e in edges], dtype=np.int64) for f in ("a", "b", "hex_len")
-        )
-        self.sq_len = np.array([e.sq_len for e in edges], dtype=float)
+        self.a, self.b, self.hex_len, self.sq_len = tree.a, tree.b, tree.hex, tree.sq
 
     def _prefix(self, k: int, kind: str) -> np.ndarray:
         """Tree edges inside the level's threshold graph: hex <= h, and for

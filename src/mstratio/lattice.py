@@ -269,9 +269,25 @@ class PointCloud:
         return len(self.cartesian)
 
     def subset(self, indices) -> "PointCloud":
+        """The points at ``indices``, in that order.
+
+        Distinct indices pick distinct rows, so the rows are not checked again;
+        a repeated index (after wrapping negative ones) raises DuplicatePoints.
+        """
         idx = np.asarray(indices, dtype=np.int64)
+        cart = self.cartesian[idx]
+        idx = np.where(idx < 0, idx + self.size, idx)
+        seen = np.zeros(self.size, dtype=bool)
+        seen[idx] = True
+        if np.count_nonzero(seen) != idx.size:
+            raise DuplicatePoints("repeated index in subset")
         coords = None if self.coords is None else self.coords[idx]
-        return PointCloud(self.basis, self.topology, coords, self.cartesian[idx])
+        for rows in (coords, cart):
+            if rows is not None:
+                rows.setflags(write=False)
+        sub = object.__new__(PointCloud)
+        sub.__dict__.update(basis=self.basis, topology=self.topology, coords=coords, cartesian=cart)
+        return sub
 
 
 def lattice_cloud(basis: Basis, topology: Topology, coords) -> PointCloud:
@@ -327,21 +343,33 @@ def generate_rhombus(basis: Basis, n: int, topology: Topology | None = None) -> 
 # -- distances ---------------------------------------------------------------
 
 
-def _torus_sq_arr(basis: Basis, n: int, di: np.ndarray, dj: np.ndarray) -> np.ndarray:
-    """Min over the 9 translates (s,t) in {-1,0,1}² of |(di+sn)u + (dj+tn)v|².
+_SHIFT_I = np.repeat([-1, 0, 1], 3)[:, None]
+_SHIFT_J = np.tile([-1, 0, 1], 3)[:, None]
+_IMAGE_BLOCK = 4096  # offsets per block: keeps the 9 candidates of a block in cache
 
-    (di, dj) is first re-expressed in the reduced basis, which spans the same
-    lattice and the same torus, and taken mod n there; for a reduced basis
-    the nearest translate is then among those 9.
+
+def nearest_image(basis: Basis, n: int, di, dj) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients in ``basis.reduced()`` of the shortest vector congruent to
+    di·u + dj·v modulo the torus period (n·u, n·v), for 1-D arrays di, dj.
+
+    (di, dj) is re-expressed in the reduced basis, which spans the same
+    lattice and the same torus, and taken mod n there; the nearest image is
+    then among its 9 translates by n·(s, t), s, t in {-1, 0, 1}, and the first
+    of equally near ones in (s, t) order is taken.
     """
     reduced, ((a, b), (c, d)) = basis._reduction
     di, dj = (di * a + dj * c) % n, (di * b + dj * d) % n
-    best = None
-    for s in (-1, 0, 1):
-        for t in (-1, 0, 1):
-            sq = reduced.sq_offset_arr(di + s * n, dj + t * n)
-            best = sq if best is None else np.minimum(best, sq)
-    return best
+    k = np.empty(len(di), dtype=np.int64)
+    for lo in range(0, len(di), _IMAGE_BLOCK):
+        block = slice(lo, lo + _IMAGE_BLOCK)
+        sq = reduced.sq_offset_arr(di[block] + _SHIFT_I * n, dj[block] + _SHIFT_J * n)
+        k[block] = sq.argmin(axis=0)
+    return di + _SHIFT_I[k, 0] * n, dj + _SHIFT_J[k, 0] * n
+
+
+def _torus_sq_arr(basis: Basis, n: int, di: np.ndarray, dj: np.ndarray) -> np.ndarray:
+    """Squared length of the nearest torus image of di·u + dj·v."""
+    return basis.reduced().sq_offset_arr(*nearest_image(basis, n, di, dj))
 
 
 def _torus_hex_arr(n: int, di: np.ndarray, dj: np.ndarray) -> np.ndarray:

@@ -58,7 +58,7 @@ def zero_dim_diagram(
     deaths = []
     if len(idx) > 1:
         tree = spanning.mst(cloud.subset(idx), metric)
-        deaths = [e.length / 2.0 for e in tree.edges]
+        deaths = (np.sqrt(tree.sq) / 2.0).tolist()
     max_death = max(deaths, default=0.0)
     if cutoff is None:
         cutoff = max_death
@@ -132,11 +132,8 @@ def chromatic_norms(
     len_b = trees[0].total_length if trees[0] else 0.0
     len_c = trees[1].total_length if trees[1] else 0.0
     len_a = tree_a.total_length
-    max_deaths = [e.length / 2.0 for e in tree_a.edges]
-    for tree in trees:
-        if tree:
-            max_deaths.extend(e.length / 2.0 for e in tree.edges)
-    q = _resolve_cutoff(cutoff_policy, max_deaths)
+    sq = np.concatenate([t.sq for t in (tree_a, *trees) if t])
+    q = _resolve_cutoff(cutoff_policy, (np.sqrt(sq) / 2.0).tolist())
     domain = len_b / 2.0 + len_c / 2.0 + 2.0 * q
     image = len_a / 2.0 + q
     kernel = domain - image

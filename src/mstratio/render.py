@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from . import spanning
+from . import lattice, spanning
 from .constructions import Coloring
 from .lattice import Metric, PointCloud
 
@@ -92,17 +92,9 @@ def _edge_segment(cloud: PointCloud, a: int, b: int) -> tuple:
     pa = cloud.cartesian[a]
     pb = cloud.cartesian[b]
     if cloud.topology.is_torus:
-        n = cloud.topology.n
-        u = np.asarray(cloud.basis.u)
-        v = np.asarray(cloud.basis.v)
-        best = None
-        for s in (-1, 0, 1):
-            for t in (-1, 0, 1):
-                cand = pb + s * n * u + t * n * v
-                d = float(np.sum((cand - pa) ** 2))
-                if best is None or d < best[0]:
-                    best = (d, cand)
-        pb = best[1]
+        di, dj = cloud.coords[b] - cloud.coords[a]
+        ci, cj = lattice.nearest_image(cloud.basis, cloud.topology.n, np.array([di]), np.array([dj]))
+        pb = pa + np.array([ci[0], cj[0]]) @ cloud.basis.reduced().matrix()
     return (pa * SCALE)[0], -(pa * SCALE)[1], (pb * SCALE)[0], -(pb * SCALE)[1]
 
 

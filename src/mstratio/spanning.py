@@ -1,17 +1,26 @@
 """Minimum spanning trees, hexagonal-length trees, and filtration forests.
 
-One deterministic Kruskal implementation serves every metric.  Edges are
-consumed in ``order_key`` order: (sq_len, sq_len, a, b) for Euclidean trees and
-(hex_len, sq_len, a, b) for hexagonal-length trees, so the edge set is
-reproducible bit-for-bit.  Small clouds enumerate all pairs; large lattice
-clouds enumerate only offsets below a distance cutoff that is grown until the
-candidate graph spans (the Kruskal prefix of a spanning threshold graph is the
-exact MST).
+Candidate edges are ranked once in ``order_key`` order: (sq_len, sq_len, a, b)
+for Euclidean trees and (hex_len, sq_len, a, b) for hexagonal-length trees.
+The order is strict, so the tree is unique and reproducible bit for bit, and
+both engines below return the same edges.
+
+* Small clouds and cartesian clouds enumerate all pairs and run a sequential
+  union-find over the ranked edges, which stops at the last tree edge.
+* Large lattice clouds enumerate only offsets below a distance cutoff and run
+  a vectorized Borůvka over the ranks.  The cutoff is grown until the
+  candidate graph spans.  The candidates are a prefix of the order, so by the
+  Kruskal prefix property the forest of a round that does not span is part
+  of the final tree, and the next round starts from its components.
+
+Trees are stored as arrays in key order; ``edges`` builds ``Edge`` objects on
+demand.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,50 +48,146 @@ class Edge:
         return (self.sq_len, self.sq_len, self.a, self.b)
 
 
-@dataclass(frozen=True)
-class SpanningTree:
-    edges: tuple[Edge, ...]
+@dataclass(frozen=True, eq=False)
+class _EdgeArrays:
+    """Endpoints a < b, squared lengths and hexagonal lengths (None for
+    cartesian clouds) of edges in key order."""
+
+    a: np.ndarray
+    b: np.ndarray
+    sq: np.ndarray
+    hex: np.ndarray | None
+
+    def __post_init__(self):
+        for col in (self.a, self.b, self.sq, self.hex):
+            if col is not None:
+                col.setflags(write=False)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        hx = [None] * len(self.a) if self.hex is None else self.hex.tolist()
+        return tuple(map(Edge, self.a.tolist(), self.b.tolist(), self.sq.tolist(), hx))
+
+
+@dataclass(frozen=True, eq=False)
+class SpanningTree(_EdgeArrays):
     point_count: int
     total_length: float
     kind: str = "euclidean"  # "euclidean" | "hex"
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.a)
 
     def validate(self) -> None:
         """Acyclic, spanning, and consistent total length, or InvariantViolation."""
-        labels = label_components(
-            self.point_count, [e.a for e in self.edges], [e.b for e in self.edges]
-        )
+        labels = label_components(self.point_count, self.a, self.b)
         parts = int(labels.max()) + 1 if self.point_count else 0
-        if len(self.edges) > self.point_count - parts:
+        if self.edge_count > self.point_count - parts:
             raise InvariantViolation("cycle in spanning tree")
         if parts > 1:
             raise InvariantViolation("tree does not span")
-        expect = math.fsum(e.length for e in self.edges)
+        expect = math.fsum(np.sqrt(self.sq).tolist())
         if abs(expect - self.total_length) > 1e-9 * max(1.0, abs(expect)):
             raise InvariantViolation("total length inconsistent")
 
     def to_json(self) -> dict:
         return {
-            "edges": [[e.a, e.b] for e in self.edges],
+            "edges": np.column_stack([self.a, self.b]).tolist(),
             "length": self.total_length,
         }
 
 
-@dataclass(frozen=True)
-class Forest:
+@dataclass(frozen=True, eq=False)
+class Forest(_EdgeArrays):
     threshold: int
     components: tuple[tuple[int, ...], ...]
-    edges: tuple[Edge, ...]
 
     @property
     def component_count(self) -> int:
         return len(self.components)
 
 
-# -- Kruskal core ------------------------------------------------------------
+# -- MST engines ---------------------------------------------------------------
+
+
+def _rank(a, b, sq, hx, hex_primary: bool) -> tuple:
+    """The candidate arrays (a, b, sq, hx) sorted by the strict key order."""
+    order = np.lexsort((b, a, sq, hx) if hex_primary else (b, a, sq))
+    return a[order], b[order], sq[order], None if hx is None else hx[order]
+
+
+def _select(ranked: tuple, pos) -> tuple:
+    pos = np.asarray(pos, dtype=np.int64)
+    return tuple(None if x is None else x[pos] for x in ranked)
+
+
+def _union_find(n_points: int, a: np.ndarray, b: np.ndarray) -> list[int] | None:
+    """Positions of the tree edges among ranked edges, or None if they do not span."""
+    parent = list(range(n_points))
+    size = [1] * n_points
+    chosen: list[int] = []
+    need = max(n_points - 1, 0)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        ra = find(x)
+        rb = find(y)
+        if ra == rb:
+            continue
+        if size[ra] < size[rb]:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        size[ra] += size[rb]
+        chosen.append(k)
+        if len(chosen) == need:
+            return chosen
+    return chosen if len(chosen) == need else None
+
+
+def _boruvka(n_points: int, a: np.ndarray, b: np.ndarray, root: np.ndarray):
+    """Borůvka over ranked edges, starting from the components of a forest.
+
+    ``root`` maps each vertex to its component's representative.  Each round
+    every component hooks onto the far end of its smallest-rank outgoing
+    edge; ranks are distinct, so the hooks form trees plus 2-cycles in which
+    both components chose the same edge, and the smaller of the two stays the
+    root.  Returns the positions of the chosen edges in rank order and the
+    new ``root``.
+    """
+    pos = np.arange(len(a))
+    ra, rb = root[a], root[b]
+    chosen = np.zeros(len(a), dtype=bool)
+    while True:
+        cross = ra != rb
+        pos, ra, rb = pos[cross], ra[cross], rb[cross]
+        m = len(pos)
+        if not m:
+            break
+        best = np.full(n_points, m)
+        k = np.arange(m)
+        np.minimum.at(best, ra, k)
+        np.minimum.at(best, rb, k)
+        comp = np.flatnonzero(best < m)
+        e = best[comp]
+        far = ra[e] + rb[e] - comp
+        hook = np.arange(n_points)
+        hook[comp] = far
+        mutual = (hook[far] == comp) & (comp < far)
+        hook[comp[mutual]] = comp[mutual]
+        chosen[pos[e]] = True
+        while True:
+            nxt = hook[hook]
+            if np.array_equal(nxt, hook):
+                break
+            hook = nxt
+        ra, rb, root = hook[ra], hook[rb], hook[root]
+    return np.flatnonzero(chosen), root
 
 
 def _kruskal(
@@ -93,42 +198,10 @@ def _kruskal(
     hx: np.ndarray | None,
     hex_primary: bool,
 ) -> list[Edge] | None:
-    """Run Kruskal over the candidate edges; None if the graph does not span."""
-    if hex_primary:
-        order = np.lexsort((b, a, sq, hx))
-    else:
-        order = np.lexsort((b, a, sq))
-    a_l = a[order].tolist()
-    b_l = b[order].tolist()
-    sq_l = sq[order].tolist()
-    hx_l = hx[order].tolist() if hx is not None else None
-
-    parent = list(range(n_points))
-    size = [1] * n_points
-    chosen: list[Edge] = []
-    need = n_points - 1
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k in range(len(a_l)):
-        ra = find(a_l[k])
-        rb = find(b_l[k])
-        if ra == rb:
-            continue
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        size[ra] += size[rb]
-        chosen.append(
-            Edge(a_l[k], b_l[k], sq_l[k], None if hx_l is None else int(hx_l[k]))
-        )
-        if len(chosen) == need:
-            return chosen
-    return chosen if len(chosen) == need else None
+    """Tree edges of the candidate graph in key order, or None if it does not span."""
+    ranked = _rank(a, b, sq, hx, hex_primary)
+    pos = _union_find(n_points, ranked[0], ranked[1])
+    return None if pos is None else list(_EdgeArrays(*_select(ranked, pos)).edges)
 
 
 def _canonical_pairs(ia: np.ndarray, ib: np.ndarray):
@@ -155,14 +228,10 @@ def _hex_of(metric: Metric, cloud: PointCloud) -> Metric:
     return Metric.HEX_TORUS if metric.requires_torus else Metric.HEX_PLANE
 
 
-def _min_basis_sq(basis: lattice.Basis) -> float:
-    best = math.inf
-    for di in range(-3, 4):
-        for dj in range(-3, 4):
-            if di == 0 and dj == 0:
-                continue
-            best = min(best, basis.sq_offset(di, dj))
-    return best
+def _seed_cutoff(basis: lattice.Basis) -> float:
+    """First squared cutoff: 9.5 times the squared length of the shortest
+    lattice vector, which is the first vector of the reduced basis."""
+    return 9.5 * basis.reduced().sq_offset(1, 0)
 
 
 def _plane_offsets(basis: lattice.Basis, sq_cut: float, hex_cut: int | None):
@@ -263,29 +332,35 @@ def _max_sq(cloud: PointCloud) -> float:
     return float(span[0] ** 2 + span[1] ** 2) + 1.0
 
 
-def _mst_edges(cloud: PointCloud, metric: Metric) -> list[Edge]:
+def _mst_arrays(cloud: PointCloud, metric: Metric) -> tuple:
+    """Tree edges (a, b, sq, hx) in key order."""
     v = cloud.size
-    if v <= 1:
-        return []
+    hex_primary = metric.is_hex
     if cloud.coords is None or v <= _FULL_PAIR_LIMIT:
-        a, b, sq, hx = _full_pair_arrays(cloud, metric)
-        edges = _kruskal(v, a, b, sq, hx, metric.is_hex)
-        if edges is None:
+        ranked = _rank(*_full_pair_arrays(cloud, metric), hex_primary)
+        pos = _union_find(v, ranked[0], ranked[1])
+        if pos is None:
             raise InvariantViolation("complete graph failed to span")
-        return edges
+        return _select(ranked, pos)
     # cutoff graph with growth; exact by the Kruskal prefix property
-    sq_cut = 9.5 * _min_basis_sq(cloud.basis)
-    hex_cut = 3 if metric.is_hex else None
+    sq_cut = _seed_cutoff(cloud.basis)
+    hex_cut = 3 if hex_primary else None
     sq_max = _max_sq(cloud)
+    root = np.arange(v)
+    forest = []  # tree edges of each round, each in key order
+    found = 0
     while True:
-        cand = _lattice_candidates(
-            cloud, metric, sq_cut, hex_cut if metric.is_hex else None
-        )
+        cand = _lattice_candidates(cloud, metric, sq_cut, hex_cut)
         if cand is not None:
-            edges = _kruskal(v, cand[0], cand[1], cand[2], cand[3], metric.is_hex)
-            if edges is not None:
-                return edges
-        if metric.is_hex:
+            ranked = _rank(*cand, hex_primary)
+            pos, root = _boruvka(v, ranked[0], ranked[1], root)
+            forest.append(_select(ranked, pos))
+            found += len(pos)
+            if found == v - 1:
+                if len(forest) == 1:
+                    return forest[0]
+                return _rank(*(np.concatenate(col) for col in zip(*forest)), hex_primary)
+        if hex_primary:
             if hex_cut > 2 * (cloud.topology.n or 0) + int(math.isqrt(int(sq_max))) + 2:
                 raise InvariantViolation("hex cutoff growth failed to span")
             hex_cut *= 2
@@ -305,10 +380,10 @@ def mst(cloud: PointCloud, metric: Metric) -> SpanningTree:
         raise TopologyMismatch("torus metric on a plane cloud")
     if metric.is_hex and cloud.coords is None:
         raise NotHexagonal("hex trees need lattice coordinates")
-    edges = _mst_edges(cloud, metric)
-    total = math.fsum(math.sqrt(e.sq_len) for e in edges)
+    a, b, sq, hx = _mst_arrays(cloud, metric)
+    total = math.fsum(np.sqrt(sq).tolist())
     return SpanningTree(
-        tuple(edges), cloud.size, total, "hex" if metric.is_hex else "euclidean"
+        a, b, sq, hx, cloud.size, total, "hex" if metric.is_hex else "euclidean"
     )
 
 
@@ -327,10 +402,10 @@ def filtered_forest(tree: SpanningTree, ell: int) -> Forest:
     """
     if tree.kind != "hex":
         raise ValueError("filtered_forest expects a tree built by hex_mst")
-    kept = tuple(e for e in tree.edges if e.hex_len is not None and e.hex_len <= ell)
-    labels = label_components(tree.point_count, [e.a for e in kept], [e.b for e in kept])
-    comps = tuple(tuple(g) for g in label_groups(labels))
-    return Forest(ell, comps, kept)
+    keep = tree.hex <= ell
+    a, b = tree.a[keep], tree.b[keep]
+    comps = tuple(tuple(g) for g in label_groups(label_components(tree.point_count, a, b)))
+    return Forest(a, b, tree.sq[keep], tree.hex[keep], ell, comps)
 
 
 # -- component labeling ----------------------------------------------------------

@@ -24,6 +24,7 @@ from mstratio.lattice import (
     hexagonal_basis,
     lattice_cloud,
     make_basis,
+    nearest_image,
     pair_sq,
     square_basis,
     tri_coords,
@@ -303,3 +304,54 @@ class TestJsonDocument:
         cloud = cloud_from_cartesian([[0.0, 0.0], [1.25, -3.5]])
         back, _ = cloud_from_doc(cloud_to_doc(cloud))
         assert np.allclose(back.cartesian, cloud.cartesian)
+
+
+class TestSubsetIndices:
+    def test_repeated_index_rejected(self):
+        cloud = generate_rhombus(hexagonal_basis(), 4, Topology.torus(4))
+        with pytest.raises(DuplicatePoints):
+            cloud.subset([0, 0])
+        with pytest.raises(DuplicatePoints):
+            cloud.subset([-1, cloud.size - 1])
+
+    def test_repeated_index_rejected_for_cartesian_clouds(self):
+        cloud = cloud_from_cartesian([[0.0, 0.0], [1.0, 0.5], [2.0, 0.0]])
+        with pytest.raises(DuplicatePoints):
+            cloud.subset([2, 1, -1])
+
+    def test_negative_indices_pick_rows_from_the_end(self):
+        cloud = generate_rhombus(square_basis(), 3)
+        sub = cloud.subset([-1, 0, 4])
+        assert sub.coords.tolist() == [[2, 2], [0, 0], [1, 1]]
+        assert sub.cartesian.tolist() == cloud.cartesian[[8, 0, 4]].tolist()
+        assert not sub.coords.flags.writeable and not sub.cartesian.flags.writeable
+        assert cloud.subset([]).size == 0
+
+    def test_out_of_range_index_raises(self):
+        cloud = generate_rhombus(square_basis(), 3)
+        with pytest.raises(IndexError):
+            cloud.subset([9])
+
+
+class TestNearestImage:
+    @given(
+        st.integers(-30, 30), st.integers(-30, 30),
+        st.sampled_from([(1.0, 0.0), (0.5, SQRT3 / 2)]),
+        st.sampled_from([(3.3, 0.2), (5.0, 1.0), (0.0, 1.0), (2.5, 0.9)]),
+        st.integers(2, 9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_image_is_congruent_and_shortest(self, di, dj, u, v, n):
+        basis = Basis(u, v)
+        ci, cj = nearest_image(basis, n, np.array([di]), np.array([dj]))
+        reduced = basis.reduced()
+        image = ci[0] * np.array(reduced.u) + cj[0] * np.array(reduced.v)
+        offset = di * np.array(basis.u) + dj * np.array(basis.v)
+        # the difference is a whole number of periods of the original basis
+        k = np.linalg.solve(basis.matrix().T, image - offset) / n
+        assert np.allclose(k, np.round(k), atol=1e-6)
+        # and no translate in a wide window is shorter
+        s, t = np.meshgrid(np.arange(-100, 101), np.arange(-25, 26))
+        shifts = np.column_stack([s.ravel(), t.ravel()]) @ (n * basis.matrix())
+        best = float(np.min(np.sum((offset + shifts) ** 2, axis=1)))
+        assert float(np.sum(image**2)) == pytest.approx(best, rel=1e-9, abs=1e-9)
