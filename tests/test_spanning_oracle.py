@@ -47,7 +47,7 @@ def assert_matches_oracle(cloud, metric):
     tree.validate()
 
 
-def metrics_of(cloud, hex_metric: bool):
+def metric_of(cloud, hex_metric: bool):
     if hex_metric and cloud.basis.is_hexagonal:
         return Metric.hexagonal(cloud.topology)
     return Metric.euclidean(cloud.topology)
@@ -64,7 +64,7 @@ def metrics_of(cloud, hex_metric: bool):
 @settings(max_examples=120, deadline=None)
 def test_full_pair_path_matches_oracle(basis_name, torus, n, keep, seed, hex_metric):
     cloud = random_cloud(basis_name, torus, n, keep, seed)
-    assert_matches_oracle(cloud, metrics_of(cloud, hex_metric))
+    assert_matches_oracle(cloud, metric_of(cloud, hex_metric))
 
 
 @given(
@@ -79,7 +79,7 @@ def test_full_pair_path_matches_oracle(basis_name, torus, n, keep, seed, hex_met
 def test_cutoff_path_matches_oracle(basis_name, torus, n, keep, seed, hex_metric):
     cloud = random_cloud(basis_name, torus, n, keep, seed)
     assume(cloud.size > spanning._FULL_PAIR_LIMIT)
-    assert_matches_oracle(cloud, metrics_of(cloud, hex_metric))
+    assert_matches_oracle(cloud, metric_of(cloud, hex_metric))
 
 
 @given(
