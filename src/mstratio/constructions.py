@@ -8,6 +8,7 @@ two-triangle configuration, the near-collapse family, and the three-way split.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +54,18 @@ class Coloring:
     arity: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(x) for x in self.labels))
+        labels = self.labels
+        if isinstance(labels, Iterator):
+            labels = list(labels)
+        arr = np.asarray(labels, dtype=np.int64)
+        if arr.ndim != 1:
+            raise TypeError("labels must be a flat sequence of integers")
         if self.arity < 2:
             raise ValueError("arity must be >= 2")
-        if any(c < 0 or c >= self.arity for c in self.labels):
+        # as unsigned, a negative label is huge, so one comparison checks both ends
+        if np.any(arr.view(np.uint64) >= self.arity):
             raise ValueError("label out of range")
+        object.__setattr__(self, "labels", tuple(arr.tolist()))
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -3,13 +3,15 @@
 The landscape of the coloring problem is rugged but shallow, so the module
 offers an exact enumerator for small clouds (complement symmetry halves the
 space), a seeded simulated-annealing hill climber, and the incremental ratio
-maintenance both rely on: the denominator never changes and a single flip only
-touches two class trees.
+maintenance it relies on: the denominator never changes and a single flip only
+touches two class trees.  All of them measure classes with one evaluator,
+`class_lengths`, a forest Prim batched over label rows; the annealer also
+remembers every subset it has measured.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,25 +21,42 @@ from .errors import InvariantViolation, StaleCache, TooLarge
 from .lattice import Metric, PointCloud
 
 _DENSE_LIMIT = 1500  # cache a dense distance matrix up to this many points
+_BATCH = 256  # label rows per evaluator call in the exhaustive and sampled searches
+_TIE = 1e-12  # ratios this close to the best count as tied
+_CELLS = 1 << 21  # bound on the (rows, V, V) masked distances of one evaluator pass
 
 
-def _prim_length(d: np.ndarray) -> float:
-    """Exact MST length of a dense symmetric distance matrix."""
-    k = len(d)
-    if k <= 1:
-        return 0.0
-    in_tree = np.zeros(k, dtype=bool)
-    in_tree[0] = True
-    best = d[0].copy()
-    best[0] = np.inf
-    picked = []
-    for _ in range(k - 1):
-        nxt = int(np.argmin(best))
-        picked.append(float(best[nxt]))
-        in_tree[nxt] = True
-        best[nxt] = np.inf
-        np.minimum(best, np.where(in_tree, np.inf, d[nxt]), out=best)
-    return math.fsum(picked)
+def class_lengths(d: np.ndarray, rows: np.ndarray, arity: int) -> np.ndarray:
+    """Exact MST length of every class of every label row, as a (B, arity) array.
+
+    `d` is a dense (V, V) distance matrix and `rows` a (B, V) batch of labels
+    in 0..arity-1.  A forest Prim runs over the batch: each nonempty class
+    grows from its first member, distances between classes are infinite, and
+    a point's key freezes when it joins, so the non-root keys are the tree's
+    edge weights.  Their `math.fsum` is exact whatever the tie-break, since
+    all MSTs share one multiset of weights.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    b, v = rows.shape
+    per_pass = max(1, _CELLS // (v * v))
+    if b > per_pass:
+        parts = [class_lengths(d, rows[i : i + per_pass], arity) for i in range(0, b, per_pass)]
+        return np.concatenate(parts)
+    cols = np.arange(v)
+    base = np.arange(b) * v
+    members = rows[:, None, :] == np.arange(arity)[:, None]
+    root_of = np.take_along_axis(members.argmax(axis=2), rows, axis=1)
+    dist = np.where(rows[:, :, None] == rows[:, None, :], d, np.inf).reshape(b * v, v)
+    key = dist[base[:, None] + root_of, cols]
+    grown = root_of != cols
+    outside = grown.copy()
+    flat_outside = outside.reshape(-1)
+    for _ in range(grown.sum(axis=1).max(initial=0)):
+        nxt = base + np.where(outside, key, np.inf).argmin(axis=1)
+        flat_outside[nxt] = False
+        np.minimum(key, dist[nxt], out=key, where=outside)
+    weights = [np.where(grown & members[:, c], key, 0.0).tolist() for c in range(arity)]
+    return np.array([[math.fsum(w) for w in per_class] for per_class in weights]).T
 
 
 @dataclass
@@ -50,72 +69,59 @@ class RatioCache:
     class_lengths: list[float]
     len_total: float
     dense: np.ndarray | None  # distance matrix when the cloud is small enough
+    # class membership mask bytes -> tree length, shared by the caches of one search
+    memo: dict[bytes, float] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ratio(self) -> float:
         return math.fsum(self.class_lengths) / self.len_total
 
 
+def _lengths(cloud: PointCloud, cache: RatioCache, rows: np.ndarray) -> list[list[float]]:
+    """Class lengths of label rows; only subsets the memo lacks are evaluated."""
+    members = rows[:, None, :] == np.arange(cache.arity)[:, None]
+    keys = [[m.tobytes() for m in row] for row in members]
+    missing = [i for i, row in enumerate(keys) if not all(k in cache.memo for k in row)]
+    if missing and cache.dense is not None:
+        fresh = class_lengths(cache.dense, rows[missing], cache.arity).tolist()
+        for i, lengths in zip(missing, fresh):
+            cache.memo.update(zip(keys[i], lengths))
+    elif missing:  # above the dense limit: one spanning tree per class
+        for i in missing:
+            for key, m in zip(keys[i], members[i]):
+                sub = cloud.subset(np.flatnonzero(m))
+                cache.memo[key] = spanning.mst(sub, cache.metric).total_length
+    return [[cache.memo[k] for k in row] for row in keys]
+
+
 def build_cache(cloud: PointCloud, coloring: Coloring, metric: Metric) -> RatioCache:
-    dense = (
-        lattice.distance_matrix(cloud, metric) if cloud.size <= _DENSE_LIMIT else None
-    )
-    lengths = [
-        _subset_length(cloud, metric, dense, coloring.class_indices(c))
-        for c in range(coloring.arity)
-    ]
-    len_total = (
-        _prim_length(dense)
-        if dense is not None
-        else spanning.mst(cloud, metric).total_length
-    )
-    return RatioCache(coloring.labels, coloring.arity, metric, lengths, len_total, dense)
+    dense = lattice.distance_matrix(cloud, metric) if cloud.size <= _DENSE_LIMIT else None
+    cache = RatioCache(coloring.labels, coloring.arity, metric, [], math.nan, dense)
+    row = np.asarray([coloring.labels])
+    cache.len_total = _lengths(cloud, cache, np.zeros_like(row))[0][0]
+    cache.class_lengths = _lengths(cloud, cache, row)[0]
+    return cache
 
 
-def _subset_length(cloud, metric, dense, idx) -> float:
-    if len(idx) <= 1:
-        return 0.0
-    if dense is not None:
-        return _prim_length(dense[np.ix_(idx, idx)])
-    return spanning.mst(cloud.subset(idx), metric).total_length
+def _flip(cloud: PointCloud, cache: RatioCache, flip: int) -> RatioCache:
+    """The cache of the coloring with one label flipped, sharing the memo."""
+    row = np.array([cache.labels])
+    row[0, flip] = 1 - row[0, flip]
+    return RatioCache(
+        tuple(row[0].tolist()), cache.arity, cache.metric,
+        _lengths(cloud, cache, row)[0], cache.len_total, cache.dense, cache.memo,
+    )
 
 
 def incremental_ratio(
     cloud: PointCloud, coloring: Coloring, cache: RatioCache, flip: int
 ) -> float:
-    """Ratio after flipping one label, recomputing only the two affected trees."""
+    """Ratio after flipping one label; only subsets the cache's memo lacks are evaluated."""
     if coloring.arity != 2:
         raise ValueError("single flips are a 2-class operation")
     if cache.labels != coloring.labels or cache.arity != coloring.arity:
         raise StaleCache("cache was built for a different coloring")
-    old = coloring.labels[flip]
-    new = 1 - old
-    labels = np.asarray(coloring.labels)
-    lengths = list(cache.class_lengths)
-    for c in (old, new):
-        idx = np.flatnonzero(labels == c)
-        if c == old:
-            idx = idx[idx != flip]
-        else:
-            idx = np.sort(np.append(idx, flip))
-        lengths[c] = _subset_length(cloud, cache.metric, cache.dense, idx)
-    return math.fsum(lengths) / cache.len_total
-
-
-def _apply_flip(cloud, cache: RatioCache, flip: int) -> RatioCache:
-    labels = list(cache.labels)
-    old = labels[flip]
-    new = 1 - old
-    labels[flip] = new
-    arr = np.asarray(labels)
-    lengths = list(cache.class_lengths)
-    for c in (old, new):
-        lengths[c] = _subset_length(
-            cloud, cache.metric, cache.dense, np.flatnonzero(arr == c)
-        )
-    return RatioCache(
-        tuple(labels), cache.arity, cache.metric, lengths, cache.len_total, cache.dense
-    )
+    return _flip(cloud, cache, flip).ratio
 
 
 # -- exhaustive search ---------------------------------------------------------
@@ -127,8 +133,10 @@ def brute_force_max(
     """Exact maximizer over all 2^(V-1) - 1 nontrivial unordered partitions.
 
     Point 0 is pinned to the blue class (complement symmetry); the trivial
-    partition with an empty class is skipped.  Ties resolve to the
-    lexicographically smallest label vector.
+    partition with an empty class is skipped.  Ties: the candidates are the
+    largest ratio and every ratio within 1e-12 of it; among them the
+    lexicographically smallest label row wins, and the report carries that
+    row's own class lengths and ratio.
     """
     v = cloud.size
     if v > max_points:
@@ -136,35 +144,24 @@ def brute_force_max(
     if v < 2:
         raise TooLarge("need at least two points")
     d = lattice.distance_matrix(cloud, metric)
-    len_total = _prim_length(d)
-    all_idx = np.arange(v)
-    best_ratio = -1.0
-    best_labels: tuple[int, ...] | None = None
-    best_lengths = (0.0, 0.0)
-    for mask in range(1, 1 << (v - 1)):
-        labels = np.zeros(v, dtype=np.int8)
-        rest = mask
-        bit = 1
-        while rest:
-            if rest & 1:
-                labels[bit] = 1
-            rest >>= 1
-            bit += 1
-        idx_b = all_idx[labels == 0]
-        idx_c = all_idx[labels == 1]
-        len_b = _prim_length(d[np.ix_(idx_b, idx_b)]) if len(idx_b) > 1 else 0.0
-        len_c = _prim_length(d[np.ix_(idx_c, idx_c)]) if len(idx_c) > 1 else 0.0
-        ratio = (len_b + len_c) / len_total
-        if ratio > best_ratio + 1e-12:
-            best_ratio, best_labels = ratio, tuple(int(x) for x in labels)
-            best_lengths = (len_b, len_c)
-        elif abs(ratio - best_ratio) <= 1e-12:
-            cand = tuple(int(x) for x in labels)
-            if best_labels is None or cand < best_labels:
-                best_labels = cand
-                best_lengths = (len_b, len_c)
-    coloring = Coloring(best_labels, 2)
-    report = RatioReport(best_lengths, len_total, best_ratio, coloring.counts)
+    len_total = float(class_lengths(d, np.zeros((1, v), dtype=np.int8), 1)[0, 0])
+    bits = np.arange(v - 1)
+    end = 1 << (v - 1)
+    cand_rows = np.empty((0, v), dtype=np.int8)
+    cand_lengths = np.empty((0, 2))
+    for start in range(1, end, _BATCH):
+        masks = np.arange(start, min(start + _BATCH, end))
+        rows = np.zeros((len(masks), v), dtype=np.int8)
+        rows[:, 1:] = (masks[:, None] >> bits) & 1
+        cand_rows = np.concatenate([cand_rows, rows])
+        cand_lengths = np.concatenate([cand_lengths, class_lengths(d, rows, 2)])
+        ratios = (cand_lengths[:, 0] + cand_lengths[:, 1]) / len_total
+        keep = ratios >= ratios.max() - _TIE
+        cand_rows, cand_lengths = cand_rows[keep], cand_lengths[keep]
+    win = np.lexsort(cand_rows.T[::-1])[0]
+    len_b, len_c = cand_lengths[win].tolist()
+    coloring = Coloring(cand_rows[win], 2)
+    report = RatioReport((len_b, len_c), len_total, (len_b + len_c) / len_total, coloring.counts)
     if not supmax_check(report):
         raise InvariantViolation(f"ratio {report.ratio} exceeds the universal cap")
     return coloring, report
@@ -173,27 +170,26 @@ def brute_force_max(
 def sampled_max(
     cloud: PointCloud, metric: Metric, samples: int, seed: int
 ) -> tuple[Coloring, float]:
-    """Best ratio over uniformly random nontrivial colorings (fixed seed)."""
+    """Best ratio over uniformly random nontrivial colorings (fixed seed); the
+    first sample reaching it wins."""
     rng = np.random.Generator(np.random.Philox(seed))
     v = cloud.size
     d = lattice.distance_matrix(cloud, metric)
-    len_total = _prim_length(d)
-    all_idx = np.arange(v)
+    len_total = float(class_lengths(d, np.zeros((1, v), dtype=np.int8), 1)[0, 0])
     best = -1.0
     best_labels = None
-    for _ in range(samples):
-        labels = rng.integers(0, 2, v)
-        if labels.min() == labels.max():
+    for start in range(0, samples, _BATCH):
+        # one (k, v) draw is the same stream as k draws of v labels
+        rows = rng.integers(0, 2, (min(_BATCH, samples - start), v))
+        rows = rows[rows.min(axis=1) != rows.max(axis=1)]
+        if not len(rows):
             continue
-        idx_b = all_idx[labels == 0]
-        idx_c = all_idx[labels == 1]
-        ratio = (
-            _prim_length(d[np.ix_(idx_b, idx_b)])
-            + _prim_length(d[np.ix_(idx_c, idx_c)])
-        ) / len_total
-        if ratio > best:
-            best = ratio
-            best_labels = tuple(int(x) for x in labels)
+        lengths = class_lengths(d, rows, 2)
+        ratios = (lengths[:, 0] + lengths[:, 1]) / len_total
+        i = int(ratios.argmax())
+        if ratios[i] > best:
+            best = float(ratios[i])
+            best_labels = rows[i]
     return Coloring(best_labels, 2), best
 
 
@@ -237,13 +233,14 @@ def local_search(
     rng = np.random.Generator(np.random.Philox(seed))
     v = cloud.size
     cache = build_cache(cloud, init, metric)
+    coloring = init
     current = cache.ratio
     best_cache = cache
     best = current
     steps: list[tuple[int, float]] = []
     for k in range(budget):
         flip = int(rng.integers(v))
-        cand = incremental_ratio(cloud, Coloring(cache.labels, 2), cache, flip)
+        cand = incremental_ratio(cloud, coloring, cache, flip)
         delta = cand - current
         temp = t0 * alpha**k
         if delta > 0:
@@ -253,16 +250,16 @@ def local_search(
         else:
             accept = False
         if accept:
-            cache = _apply_flip(cloud, cache, flip)
+            cache = _flip(cloud, cache, flip)
+            coloring = Coloring(cache.labels, 2)
             current = cand
             steps.append((flip, current))
             if current > best:
                 best = current
                 best_cache = cache
-    best_coloring = Coloring(best_cache.labels, 2)
-    flag = True
-    for p in range(v):
-        if incremental_ratio(cloud, best_coloring, best_cache, p) > best + 1e-12:
-            flag = False
-            break
-    return SearchTrace(seed, tuple(steps), best_coloring, best, flag)
+    flips = np.asarray(best_cache.labels) ^ np.eye(v, dtype=np.int64)  # row p flips point p
+    flag = all(
+        math.fsum(lengths) / best_cache.len_total <= best + _TIE
+        for lengths in _lengths(cloud, best_cache, flips)
+    )
+    return SearchTrace(seed, tuple(steps), Coloring(best_cache.labels, 2), best, flag)

@@ -76,6 +76,28 @@ class TestMstRatio:
             assert report.ratio == pytest.approx(expect, abs=1e-9)
 
 
+class TestColoringLabels:
+    def test_labels_become_a_tuple_of_ints(self):
+        for labels in ((0, 1, 1), [0, 1, 1], np.array([0, 1, 1], dtype=np.int8), (x for x in (0, 1, 1))):
+            coloring = Coloring(labels, 2)
+            assert coloring.labels == (0, 1, 1)
+            assert all(type(x) is int for x in coloring.labels)
+        assert Coloring((), 2).labels == ()
+
+    @pytest.mark.parametrize(
+        "labels, arity",
+        [((0, -1), 2), ((0, 2), 2), ((0, 1, 3), 3), (np.array([1, -1], dtype=np.int8), 2)],
+        ids=["negative", "equal-arity", "above-arity", "int8-negative"],
+    )
+    def test_out_of_range_labels_rejected(self, labels, arity):
+        with pytest.raises(ValueError, match="out of range"):
+            Coloring(labels, arity)
+
+    def test_arity_below_two_rejected(self):
+        with pytest.raises(ValueError, match="arity"):
+            Coloring((0, 0), 1)
+
+
 class TestMultiway:
     def test_two_classes_agree_with_mst_ratio(self):
         cloud, coloring = cons.integer_checkerboard(5)

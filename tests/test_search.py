@@ -1,7 +1,12 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import kruskal
 
 from mstratio import search
 from mstratio.constructions import Coloring, mst_ratio
@@ -10,6 +15,7 @@ from mstratio.lattice import (
     Metric,
     Topology,
     cloud_from_cartesian,
+    distance_matrix,
     generate_rhombus,
     hexagonal_basis,
     square_basis,
@@ -48,6 +54,16 @@ class TestBruteForce:
             cloud, Coloring(tuple(labels.tolist()), 2), Metric.EUCLIDEAN_PLANE
         )
         assert best.ratio >= checker.ratio - 1e-12
+
+
+    def test_tied_rows_report_their_own_ratio(self):
+        # (0,0,1,1) and (0,1,0,1) tie within 1e-12 at different floats; the
+        # reported ratio must be the winning row's own
+        cloud = cloud_from_cartesian([[4, 1], [2, 3], [1, 4], [3, 2]])
+        coloring, report = search.brute_force_max(cloud, Metric.EUCLIDEAN_PLANE)
+        assert coloring.labels == (0, 0, 1, 1)
+        assert report.ratio == (report.len_b + report.len_complement) / report.len_total
+        assert report.ratio == 4 / 3
 
 
 class TestLocalSearch:
@@ -153,3 +169,166 @@ def test_sampled_max_torus6_million_colorings():
         cloud, Metric.EUCLIDEAN_TORUS, samples=10**6, seed=9
     )
     assert best < 1.25
+
+
+# -- the batched class-length evaluator against the pure-Python Kruskal --------
+
+
+def oracle_length(cloud, metric, idx) -> float:
+    """fsum of the oracle tree's weights: hex lengths for hex metrics,
+    sqrt(sq) otherwise, the floats `distance_matrix` holds."""
+    if len(idx) <= 1:
+        return 0.0
+    tree = kruskal(cloud.subset(idx), metric)
+    return math.fsum(e[3] if metric.is_hex else math.sqrt(e[2]) for e in tree)
+
+
+def label_rows(size: int, arity: int, seed: int) -> np.ndarray:
+    """A batch of label rows with uneven classes: one row with a singleton and
+    (for arity 3) an empty class, the rest random with skewed class weights."""
+    rng = np.random.default_rng(seed)
+    pinned = np.zeros(size, dtype=np.int64)
+    pinned[-1] = 1
+    rows = [pinned]
+    for _ in range(4):
+        rows.append(rng.choice(arity, size=size, p=rng.dirichlet(np.full(arity, 0.5))))
+    return np.array(rows)
+
+
+def lattice_case(basis_name, torus, n, keep, seed, hex_metric):
+    basis = hexagonal_basis() if basis_name == "hex" else square_basis()
+    topology = Topology.torus(n) if torus else Topology.plane()
+    cloud = generate_rhombus(basis, n, topology)
+    rng = np.random.default_rng(seed)
+    cloud = cloud.subset(np.flatnonzero(rng.random(cloud.size) < keep))
+    if hex_metric and basis_name == "hex":
+        return cloud, Metric.hexagonal(topology)
+    return cloud, Metric.euclidean(topology)
+
+
+def assert_lengths_match_oracle(cloud, metric, arity, seed):
+    rows = label_rows(cloud.size, arity, seed)
+    got = search.class_lengths(distance_matrix(cloud, metric), rows, arity)
+    assert got.shape == (len(rows), arity)
+    for row, lengths in zip(rows, got):
+        for c in range(arity):
+            assert lengths[c] == oracle_length(cloud, metric, np.flatnonzero(row == c))
+
+
+@given(
+    basis_name=st.sampled_from(["hex", "square"]),
+    torus=st.booleans(),
+    n=st.integers(2, 6),
+    keep=st.floats(0.3, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    hex_metric=st.booleans(),
+    arity=st.sampled_from([2, 3]),
+)
+@settings(max_examples=80, deadline=None)
+def test_class_lengths_match_oracle_on_lattices(basis_name, torus, n, keep, seed, hex_metric, arity):
+    cloud, metric = lattice_case(basis_name, torus, n, keep, seed, hex_metric)
+    if cloud.size >= 2:
+        assert_lengths_match_oracle(cloud, metric, arity, seed)
+
+
+@given(
+    points=st.lists(
+        st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=2, max_size=25, unique=True
+    ),
+    scale=st.sampled_from([1.0, 0.5, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+    arity=st.sampled_from([2, 3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_class_lengths_match_oracle_on_cartesian_clouds(points, scale, seed, arity):
+    cloud = cloud_from_cartesian(np.array(points, dtype=float) * scale)
+    assert_lengths_match_oracle(cloud, Metric.EUCLIDEAN_PLANE, arity, seed)
+
+
+def test_class_lengths_split_into_passes_agree(monkeypatch):
+    cloud = torus6()
+    d = distance_matrix(cloud, Metric.EUCLIDEAN_TORUS)
+    rows = label_rows(cloud.size, 3, 7)
+    whole = search.class_lengths(d, rows, 3)
+    monkeypatch.setattr(search, "_CELLS", 1)  # one row per pass
+    assert np.array_equal(search.class_lengths(d, rows, 3), whole)
+
+
+def test_spanning_path_matches_dense_path(monkeypatch):
+    # above the dense limit every new subset goes through spanning.mst instead
+    cloud = torus6()
+    init = Coloring(tuple([0, 1] * 18), 2)
+    dense = search.local_search(cloud, Metric.EUCLIDEAN_TORUS, init, 42, 200)
+    monkeypatch.setattr(search, "_DENSE_LIMIT", 0)
+    sparse = search.local_search(cloud, Metric.EUCLIDEAN_TORUS, init, 42, 200)
+    assert sparse == dense
+
+
+def enumerated_max(cloud, metric):
+    """Plain enumeration over the oracle under the documented tie rule: the
+    candidates are the largest ratio and every ratio within 1e-12 of it, the
+    lexicographically smallest label row wins and carries its own ratio."""
+    v = cloud.size
+    total = oracle_length(cloud, metric, np.arange(v))
+    scored = []
+    for tail in itertools.product((0, 1), repeat=v - 1):
+        labels = (0,) + tail
+        if 1 not in labels:
+            continue
+        arr = np.array(labels)
+        len_b = oracle_length(cloud, metric, np.flatnonzero(arr == 0))
+        len_c = oracle_length(cloud, metric, np.flatnonzero(arr == 1))
+        scored.append(((len_b + len_c) / total, labels, (len_b, len_c)))
+    top = max(ratio for ratio, _, _ in scored)
+    return min((labels, lengths, ratio) for ratio, labels, lengths in scored if ratio >= top - 1e-12)
+
+
+@given(
+    basis_name=st.sampled_from(["hex", "square"]),
+    torus=st.booleans(),
+    n=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    hex_metric=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_brute_force_matches_enumeration_on_lattices(basis_name, torus, n, seed, hex_metric):
+    cloud, metric = lattice_case(basis_name, torus, n, 0.6, seed, hex_metric)
+    if 2 <= cloud.size <= 8:
+        assert_brute_matches_enumeration(cloud, metric)
+
+
+@given(
+    points=st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=8, unique=True
+    ),
+)
+@settings(max_examples=25, deadline=None)
+def test_brute_force_matches_enumeration_on_cartesian_clouds(points):
+    # small integer grids: many exact and near ties between partitions
+    assert_brute_matches_enumeration(cloud_from_cartesian(points), Metric.EUCLIDEAN_PLANE)
+
+
+def assert_brute_matches_enumeration(cloud, metric):
+    coloring, report = search.brute_force_max(cloud, metric)
+    labels, lengths, ratio = enumerated_max(cloud, metric)
+    assert coloring.labels == labels
+    assert report.class_lengths == lengths
+    assert report.ratio == ratio
+
+
+# -- pinned outputs ------------------------------------------------------------
+
+#: sha256 of outputs recorded before the evaluator and the anneal memo landed;
+#: both must stay bit-identical
+LOCAL_SEARCH_CSV_SHA256 = "1b2c4723f9771a7333963224649f5ca3366a8f57072336c28dadd3e7dca8c0e7"
+SAMPLED_MAX_SHA256 = "bb6d3d7209c02ecedf06c72838af0effba40f866f0aa6327b205f51bf96b897e"
+
+
+def test_search_outputs_are_pinned():
+    cloud = torus6()
+    metric = Metric.EUCLIDEAN_TORUS
+    trace = search.local_search(cloud, metric, Coloring(tuple([0, 1] * 18), 2), 42, 800)
+    assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == LOCAL_SEARCH_CSV_SHA256
+    coloring, best = search.sampled_max(cloud, metric, samples=20000, seed=9)
+    digest = hashlib.sha256(repr((coloring.labels, best)).encode()).hexdigest()
+    assert digest == SAMPLED_MAX_SHA256
