@@ -272,6 +272,16 @@ def cmd_render(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_instance_args(p: argparse.ArgumentParser):
     p.add_argument("--construction", help="registry name, e.g. fig8 or stretched:r=200")
     p.add_argument("--in", dest="infile", help="canonical JSON point-set document")
@@ -332,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit")
     p.add_argument("--k-max", type=int, default=1000)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--torus", type=int, default=10)
     p.add_argument("--seed", type=int, default=audits.DEFAULT_SEED)
     p.add_argument("--out", default="-")

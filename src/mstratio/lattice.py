@@ -232,6 +232,13 @@ def _dedupe_rows(rows: np.ndarray) -> bool:
     return len(np.unique(rows, axis=0)) == len(rows)
 
 
+def _distinct_coords(coords: np.ndarray) -> bool:
+    """True if no two integer rows (i, j) coincide: one lexsort, then a
+    comparison of neighbours."""
+    i, j = coords[np.lexsort((coords[:, 1], coords[:, 0]))].T
+    return not np.any((i[1:] == i[:-1]) & (j[1:] == j[:-1]))
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Finite ordered point set: lattice coords plus derived cartesian positions.
@@ -253,7 +260,7 @@ class PointCloud:
             if self.topology.is_torus:
                 coords = np.mod(coords, self.topology.n)
             object.__setattr__(self, "coords", coords)
-            if not _dedupe_rows(coords):
+            if not _distinct_coords(coords):
                 raise DuplicatePoints("coincident lattice points (mod period)")
         else:
             if self.topology.is_torus:

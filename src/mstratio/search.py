@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lattice, spanning
 from .constructions import Coloring, RatioReport, supmax_check
-from .errors import InvariantViolation, StaleCache, TooLarge
+from .errors import BadArgument, InvariantViolation, StaleCache, TooLarge
 from .lattice import Metric, PointCloud
 
 _DENSE_LIMIT = 1500  # cache a dense distance matrix up to this many points
@@ -171,9 +171,14 @@ def sampled_max(
     cloud: PointCloud, metric: Metric, samples: int, seed: int
 ) -> tuple[Coloring, float]:
     """Best ratio over uniformly random nontrivial colorings (fixed seed); the
-    first sample reaching it wins."""
-    rng = np.random.Generator(np.random.Philox(seed))
+    first sample reaching it wins.  Trivial samples (one empty class) are
+    skipped, and BadArgument is raised if every sample is trivial."""
+    if samples < 1:
+        raise BadArgument(f"samples must be >= 1, got {samples}")
     v = cloud.size
+    if v < 2:
+        raise TooLarge("need at least two points")
+    rng = np.random.Generator(np.random.Philox(seed))
     d = lattice.distance_matrix(cloud, metric)
     len_total = float(class_lengths(d, np.zeros((1, v), dtype=np.int8), 1)[0, 0])
     best = -1.0
@@ -190,6 +195,8 @@ def sampled_max(
         if ratios[i] > best:
             best = float(ratios[i])
             best_labels = rows[i]
+    if best_labels is None:
+        raise BadArgument(f"all {samples} samples were trivial colorings")
     return Coloring(best_labels, 2), best
 
 

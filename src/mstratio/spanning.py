@@ -7,11 +7,13 @@ both engines below return the same edges.
 
 * Small clouds and cartesian clouds enumerate all pairs and run a sequential
   union-find over the ranked edges, which stops at the last tree edge.
-* Large lattice clouds enumerate only offsets below a distance cutoff and run
-  a vectorized Borůvka over the ranks.  The cutoff is grown until the
-  candidate graph spans.  The candidates are a prefix of the order, so by the
-  Kruskal prefix property the forest of a round that does not span is part
-  of the final tree, and the next round starts from its components.
+* Large lattice clouds enumerate only offsets below a distance cutoff, which
+  meet each unordered pair once (on a torus, one residue of each inverse
+  pair (s, t), (-s, -t) mod n is an offset), and run a vectorized Borůvka
+  over the ranks.  The cutoff is grown until the candidate graph spans.  The
+  candidates are a prefix of the order, so by the Kruskal prefix property
+  the forest of a round that does not span is part of the final tree, and
+  the next round starts from its components.
 
 Trees are stored as arrays in key order; ``edges`` builds ``Edge`` objects on
 demand.
@@ -204,12 +206,6 @@ def _kruskal(
     return None if pos is None else list(_EdgeArrays(*_select(ranked, pos)).edges)
 
 
-def _canonical_pairs(ia: np.ndarray, ib: np.ndarray):
-    lo = np.minimum(ia, ib)
-    hi = np.maximum(ia, ib)
-    return lo, hi
-
-
 def _full_pair_arrays(cloud: PointCloud, metric: Metric):
     v = cloud.size
     ia, ib = np.triu_indices(v, k=1)
@@ -257,71 +253,61 @@ def _plane_offsets(basis: lattice.Basis, sq_cut: float, hex_cut: int | None):
 
 
 def _torus_offsets(basis: lattice.Basis, n: int, sq_cut: float, hex_cut: int | None):
+    """Nonzero residues (s, t) mod n with measure below the cutoff, one of each
+    inverse pair {(s, t), (-s, -t)}: the first in (s, t) order that passes."""
     rng = np.arange(n)
     s, t = np.meshgrid(rng, rng, indexing="ij")
     s = s.ravel()
     t = t.ravel()
-    nz = (s != 0) | (t != 0)
-    s, t = s[nz], t[nz]
     sq = lattice._torus_sq_arr(basis, n, s, t)
     hx = lattice._torus_hex_arr(n, s, t)
     keep = hx <= hex_cut if hex_cut is not None else sq <= sq_cut + 1e-9
+    keep[0] = False  # the zero residue
+    inv = (-s % n) * n + (-t % n)  # flat index of the inverse residue
+    keep &= ~(keep[inv] & (inv < np.arange(n * n)))
     return s[keep], t[keep], sq[keep], hx[keep]
 
 
 def _lattice_candidates(cloud: PointCloud, metric: Metric, sq_cut: float, hex_cut):
     """Candidate edges of the cutoff graph, one row per unordered pair."""
     coords = cloud.coords
+    idx = np.arange(cloud.size, dtype=np.int64)
+    pairs = []  # (first ends, second ends) for each offset
     if cloud.topology.is_torus:
+        # a pair {p, q} differs by the residues q - p and p - q, and only one
+        # of them is an offset; a self-inverse one meets it from both ends
         n = cloud.topology.n
         offs = _torus_offsets(cloud.basis, n, sq_cut, hex_cut)
         grid = np.full((n, n), -1, dtype=np.int64)
-        grid[coords[:, 0], coords[:, 1]] = np.arange(cloud.size)
-        pieces = []
-        idx = np.arange(cloud.size, dtype=np.int64)
-        for s, t, sq, hx in zip(*offs):
-            ni = (coords[:, 0] + s) % n
-            nj = (coords[:, 1] + t) % n
-            nb = grid[ni, nj]
-            ok = nb >= 0
-            lo, hi = _canonical_pairs(idx[ok], nb[ok])
-            pieces.append(
-                (lo, hi, np.full(len(lo), sq), np.full(len(lo), hx, dtype=np.int64))
-            )
-        if not pieces:
-            return None
-        a = np.concatenate([p[0] for p in pieces])
-        b = np.concatenate([p[1] for p in pieces])
-        sq = np.concatenate([p[2] for p in pieces])
-        hx = np.concatenate([p[3] for p in pieces])
-        key = a * cloud.size + b
-        _, first = np.unique(key, return_index=True)
-        return a[first], b[first], sq[first], hx[first]
-
-    offs = _plane_offsets(cloud.basis, sq_cut, hex_cut)
-    imin, jmin = coords.min(axis=0)
-    imax, jmax = coords.max(axis=0)
-    grid = np.full((imax - imin + 1, jmax - jmin + 1), -1, dtype=np.int64)
-    grid[coords[:, 0] - imin, coords[:, 1] - jmin] = np.arange(cloud.size)
-    pieces = []
-    idx = np.arange(cloud.size, dtype=np.int64)
-    for di, dj, sq, hx in zip(*offs):
-        ni = coords[:, 0] + di
-        nj = coords[:, 1] + dj
-        ok = (ni >= imin) & (ni <= imax) & (nj >= jmin) & (nj <= jmax)
-        nb = grid[ni[ok] - imin, nj[ok] - jmin]
-        hit = nb >= 0
-        lo, hi = _canonical_pairs(idx[ok][hit], nb[hit])
-        pieces.append(
-            (lo, hi, np.full(len(lo), sq), np.full(len(lo), hx, dtype=np.int64))
-        )
-    if not pieces:
+        grid[coords[:, 0], coords[:, 1]] = idx
+        for s, t in zip(offs[0].tolist(), offs[1].tolist()):
+            nb = grid[(coords[:, 0] + s) % n, (coords[:, 1] + t) % n]
+            hit = nb > idx if (2 * s) % n == 0 and (2 * t) % n == 0 else nb >= 0
+            pairs.append((idx[hit], nb[hit]))
+    else:
+        offs = _plane_offsets(cloud.basis, sq_cut, hex_cut)
+        imin, jmin = coords.min(axis=0)
+        imax, jmax = coords.max(axis=0)
+        grid = np.full((imax - imin + 1, jmax - jmin + 1), -1, dtype=np.int64)
+        grid[coords[:, 0] - imin, coords[:, 1] - jmin] = idx
+        for di, dj in zip(offs[0].tolist(), offs[1].tolist()):
+            ni = coords[:, 0] + di
+            nj = coords[:, 1] + dj
+            ok = (ni >= imin) & (ni <= imax) & (nj >= jmin) & (nj <= jmax)
+            nb = grid[ni[ok] - imin, nj[ok] - jmin]
+            hit = nb >= 0
+            pairs.append((idx[ok][hit], nb[hit]))
+    if not pairs:
         return None
-    a = np.concatenate([p[0] for p in pieces])
-    b = np.concatenate([p[1] for p in pieces])
-    sq = np.concatenate([p[2] for p in pieces])
-    hx = np.concatenate([p[3] for p in pieces])
-    return a, b, sq, hx
+    ia = np.concatenate([p[0] for p in pairs])
+    ib = np.concatenate([p[1] for p in pairs])
+    counts = [len(p[0]) for p in pairs]
+    return (
+        np.minimum(ia, ib),
+        np.maximum(ia, ib),
+        np.repeat(offs[2], counts),
+        np.repeat(offs[3], counts),
+    )
 
 
 def _max_sq(cloud: PointCloud) -> float:

@@ -214,6 +214,13 @@ class TestRender:
 
 
 class TestAudit:
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_rejected(self, capsys, samples):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--samples", samples])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
     def test_small_run_passes(self, capsys):
         code, out = run(capsys, "audit", "--samples", "25", "--k-max", "50")
         assert code == 0

@@ -130,6 +130,58 @@ class TestGeneration:
             cloud_from_cartesian([[0.5, 0.5], [0.5, 0.5]])
 
 
+class TestDistinctCoords:
+    """Lattice clouds reject coincident rows, after the torus wrap."""
+
+    def test_empty_cloud(self):
+        assert lattice_cloud(square_basis(), Topology.plane(), []).size == 0
+        assert lattice_cloud(square_basis(), Topology.torus(3), []).size == 0
+
+    def test_negative_plane_coords(self):
+        coords = [[-3, -1], [-1, -3], [0, -1], [-1, 0], [-3, 1]]
+        assert lattice_cloud(square_basis(), Topology.plane(), coords).size == 5
+        with pytest.raises(DuplicatePoints, match="coincident lattice points"):
+            lattice_cloud(square_basis(), Topology.plane(), coords + [[-1, -3]])
+
+    def test_far_apart_coords(self):
+        big = 2**62
+        coords = [[big, -big], [-big, big], [big, big - 1], [-big, -big], [big - 1, big]]
+        assert lattice_cloud(square_basis(), Topology.plane(), coords).size == 5
+        with pytest.raises(DuplicatePoints):
+            lattice_cloud(square_basis(), Topology.plane(), coords + [[-big, big]])
+
+    def test_torus_duplicates_after_wrap(self):
+        # (-1, -5) and (4, 0) are the same point of the 5-torus
+        coords = [[-1, -5], [0, 0], [4, 1]]
+        assert lattice_cloud(square_basis(), Topology.torus(5), coords).size == 3
+        assert lattice_cloud(square_basis(), Topology.plane(), coords + [[4, 0]]).size == 4
+        with pytest.raises(DuplicatePoints, match=r"\(mod period\)"):
+            lattice_cloud(square_basis(), Topology.torus(5), coords + [[4, 0]])
+
+    def test_shuffled_rows(self):
+        coords = generate_rhombus(square_basis(), 6).coords
+        rng = np.random.default_rng(3)
+        shuffled = coords[rng.permutation(36)]
+        assert lattice_cloud(square_basis(), Topology.plane(), shuffled).size == 36
+        with_copy = np.concatenate([coords, coords[[17]]])[rng.permutation(37)]
+        with pytest.raises(DuplicatePoints):
+            lattice_cloud(square_basis(), Topology.plane(), with_copy)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=12),
+        st.sampled_from([None, 2, 3, 4, 7]),
+    )
+    def test_verdict_matches_set_of_rows(self, coords, n):
+        topology = Topology.plane() if n is None else Topology.torus(n)
+        rows = coords if n is None else [(i % n, j % n) for i, j in coords]
+        if len(set(rows)) == len(rows):
+            assert lattice_cloud(square_basis(), topology, coords).size == len(coords)
+        else:
+            with pytest.raises(DuplicatePoints):
+                lattice_cloud(square_basis(), topology, coords)
+
+
 class TestDistance:
     def test_torus_wraps_to_adjacent(self):
         cloud = generate_rhombus(hexagonal_basis(), 6, Topology.torus(6))

@@ -10,7 +10,7 @@ from oracles import kruskal
 
 from mstratio import search
 from mstratio.constructions import Coloring, mst_ratio
-from mstratio.errors import StaleCache, TooLarge
+from mstratio.errors import BadArgument, StaleCache, TooLarge
 from mstratio.lattice import (
     Metric,
     Topology,
@@ -160,6 +160,28 @@ def test_sampled_max_stays_below_cap():
     _, best = search.sampled_max(cloud, Metric.EUCLIDEAN_TORUS, samples=20000, seed=9)
     assert best <= (5 / 4) * (36 - 2) / 35  # total length cap 5/4 (n^2 - 2)
     assert best < 1.25
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_max_rejects_no_samples(samples):
+    cloud = generate_rhombus(square_basis(), 2)
+    with pytest.raises(BadArgument, match="samples"):
+        search.sampled_max(cloud, Metric.EUCLIDEAN_PLANE, samples=samples, seed=1)
+
+
+def test_sampled_max_rejects_one_point_cloud():
+    cloud = cloud_from_cartesian([[0.0, 0.0]])
+    with pytest.raises(TooLarge, match="at least two points"):
+        search.sampled_max(cloud, Metric.EUCLIDEAN_PLANE, samples=10, seed=1)
+
+
+def test_sampled_max_rejects_only_trivial_samples():
+    # seed 0 draws (0, 0) first, the trivial coloring of two points
+    cloud = cloud_from_cartesian([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(BadArgument, match="trivial"):
+        search.sampled_max(cloud, Metric.EUCLIDEAN_PLANE, samples=1, seed=0)
+    _, best = search.sampled_max(cloud, Metric.EUCLIDEAN_PLANE, samples=1, seed=3)
+    assert best == 0.0
 
 
 @pytest.mark.slow

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ from mstratio.lattice import (
     generate_rhombus,
     hexagonal_basis,
     lattice_cloud,
+    pair_hex,
     pair_sq,
+    square_basis,
 )
 from mstratio.spanning import filtered_forest, hex_mst, mst
 
@@ -213,6 +216,86 @@ class TestFilteredForest:
         cloud = generate_rhombus(hexagonal_basis(), 4)
         with pytest.raises(ValueError):
             filtered_forest(mst(cloud, Metric.EUCLIDEAN_PLANE), 1)
+
+
+# -- torus candidates of the cutoff path ----------------------------------------
+
+
+def _candidate_rows(cloud, metric, sq_cut, hex_cut):
+    cand = spanning._lattice_candidates(cloud, metric, sq_cut, hex_cut)
+    if cand is None:
+        return []
+    return list(zip(*(x.tolist() for x in cand)))
+
+
+def _brute_candidate_rows(cloud, sq_cut, hex_cut):
+    """Every pair a < b whose nearest-image measure is within the cutoff."""
+    ia, ib = np.triu_indices(cloud.size, k=1)
+    sq = pair_sq(cloud, Metric.EUCLIDEAN_TORUS, ia, ib)
+    hx = pair_hex(cloud, Metric.HEX_TORUS, ia, ib)
+    keep = hx <= hex_cut if hex_cut is not None else sq <= sq_cut + 1e-9
+    return list(zip(*(x[keep].tolist() for x in (ia, ib, sq, hx))))
+
+
+NON_REDUCED = Basis((1.0, 0.0), (3.3, 0.2))
+
+
+@pytest.mark.parametrize("basis", [hexagonal_basis(), NON_REDUCED], ids=["hex", "non-reduced"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 11])
+@pytest.mark.parametrize("subset", [False, True], ids=["full", "subset"])
+def test_torus_candidates_once_per_pair(basis, n, subset):
+    cloud = generate_rhombus(basis, n, Topology.torus(n))
+    if subset:
+        rng = np.random.default_rng(n)
+        cloud = cloud.subset(rng.permutation(cloud.size)[: max(2, cloud.size // 2)])
+    whole = 4.0 * (basis.sq_offset(n, 0) + basis.sq_offset(0, n))  # the whole torus
+    for metric, cuts in (
+        (Metric.EUCLIDEAN_TORUS, [(0.5, None), (1.0, None), (3.0, None), (9.5, None), (whole, None)]),
+        (Metric.HEX_TORUS, [(None, 1), (None, 2), (None, 3), (None, 2 * n)]),
+    ):
+        for sq_cut, hex_cut in cuts:
+            rows = _candidate_rows(cloud, metric, sq_cut, hex_cut)
+            pairs = [(a, b) for a, b, _, _ in rows]
+            assert len(set(pairs)) == len(pairs)
+            assert all(a < b for a, b in pairs)
+            assert sorted(rows) == _brute_candidate_rows(cloud, sq_cut, hex_cut)
+
+
+def _sublattice(basis, n, keep):
+    cloud = generate_rhombus(basis, n, Topology.torus(n))
+    i, j = cloud.coords.T
+    return cloud.subset(np.flatnonzero(keep(i, j)))
+
+
+# sha256 of the ranked candidate arrays, recorded on the implementation that
+# emitted each pair from both ends and deduplicated afterwards
+RANKED_DIGESTS = [
+    ("hex21", Metric.EUCLIDEAN_TORUS, 38.0, None,
+     "06fd4eb6233427e16f995bbced96f26f33c719e6a3592f1cc09dfc7933e89432"),
+    ("hex21", Metric.HEX_TORUS, None, 6,
+     "b4a139c6b8ec9fa0308a35bcd7c4c2b4361442ecd13871c07d0553a40385a993"),
+    ("sq30sub", Metric.EUCLIDEAN_TORUS, 38.0, None,
+     "c448bd3a64952b445a57284e2fb109a79e59920130627c38242612a0d51ad1c4"),
+    ("sq30sub", Metric.HEX_TORUS, None, 3,
+     "8982839966daa77c58183a47d1b0a2d183fc93f14909a08fa3c43cfe9aedefa8"),
+    ("hex40sub", Metric.EUCLIDEAN_TORUS, 9.5, None,
+     "f10c9010763d78e64d0344d17173254593d67ed6273c097e91f656946c20e798"),
+    ("hex40sub", Metric.HEX_TORUS, None, 6,
+     "0a1c3388299c5dd1549e6a1d89e674356049345f938a76fab172a0e016fd5f7b"),
+]
+
+
+@pytest.mark.parametrize("name,metric,sq_cut,hex_cut,digest", RANKED_DIGESTS)
+def test_ranked_torus_candidates_unchanged(name, metric, sq_cut, hex_cut, digest):
+    cloud = {
+        "hex21": lambda: generate_rhombus(hexagonal_basis(), 21, Topology.torus(21)),
+        "sq30sub": lambda: _sublattice(square_basis(), 30, lambda i, j: (7 * i + 3 * j) % 5 != 0),
+        "hex40sub": lambda: _sublattice(hexagonal_basis(), 40, lambda i, j: (i * j + i) % 3 != 1),
+    }[name]()
+    assert cloud.size > spanning._FULL_PAIR_LIMIT  # mst takes the cutoff path
+    cand = spanning._lattice_candidates(cloud, metric, sq_cut, hex_cut)
+    ranked = spanning._rank(*cand, metric.is_hex)
+    assert hashlib.sha256(repr([x.tolist() for x in ranked]).encode()).hexdigest() == digest
 
 
 def test_tree_json_export():
