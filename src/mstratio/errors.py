@@ -33,10 +33,6 @@ class ZeroDenominator(MstRatioError):
     """Ratio denominator vanishes (fewer than two points, or cutoff too small)."""
 
 
-class BadArgument(MstRatioError):
-    """An argument lies outside the range the operation accepts."""
-
-
 class TooLarge(MstRatioError):
     """Exhaustive enumeration refused above the configured size cap."""
 

@@ -228,15 +228,12 @@ def tri_coords(i: int, j: int) -> TriCoord:
 # -- point clouds -----------------------------------------------------------
 
 
-def _dedupe_rows(rows: np.ndarray) -> bool:
-    return len(np.unique(rows, axis=0)) == len(rows)
-
-
-def _distinct_coords(coords: np.ndarray) -> bool:
-    """True if no two integer rows (i, j) coincide: one lexsort, then a
-    comparison of neighbours."""
-    i, j = coords[np.lexsort((coords[:, 1], coords[:, 0]))].T
-    return not np.any((i[1:] == i[:-1]) & (j[1:] == j[:-1]))
+def _distinct_rows(rows: np.ndarray) -> bool:
+    """True if no two rows (x, y) of an (N, 2) array coincide: one lexsort,
+    then a comparison of neighbours (for floats, 0.0 == -0.0 and NaN rows
+    never coincide, as with np.unique(axis=0))."""
+    x, y = rows[np.lexsort((rows[:, 1], rows[:, 0]))].T
+    return not np.any((x[1:] == x[:-1]) & (y[1:] == y[:-1]))
 
 
 @dataclass(frozen=True)
@@ -260,12 +257,12 @@ class PointCloud:
             if self.topology.is_torus:
                 coords = np.mod(coords, self.topology.n)
             object.__setattr__(self, "coords", coords)
-            if not _distinct_coords(coords):
+            if not _distinct_rows(coords):
                 raise DuplicatePoints("coincident lattice points (mod period)")
         else:
             if self.topology.is_torus:
                 raise TopologyMismatch("cartesian-only clouds must be planar")
-            if len(cart) and not _dedupe_rows(cart):
+            if not _distinct_rows(cart):
                 raise DuplicatePoints("coincident cartesian points")
         self.cartesian.setflags(write=False)
         if self.coords is not None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lattice, spanning
 from .constructions import Coloring, RatioReport, supmax_check
-from .errors import BadArgument, InvariantViolation, StaleCache, TooLarge
+from .errors import InvariantViolation, MstRatioError, StaleCache, TooLarge
 from .lattice import Metric, PointCloud
 
 _DENSE_LIMIT = 1500  # cache a dense distance matrix up to this many points
@@ -172,9 +172,9 @@ def sampled_max(
 ) -> tuple[Coloring, float]:
     """Best ratio over uniformly random nontrivial colorings (fixed seed); the
     first sample reaching it wins.  Trivial samples (one empty class) are
-    skipped, and BadArgument is raised if every sample is trivial."""
+    skipped, and MstRatioError is raised if every sample is trivial."""
     if samples < 1:
-        raise BadArgument(f"samples must be >= 1, got {samples}")
+        raise MstRatioError(f"samples must be >= 1, got {samples}")
     v = cloud.size
     if v < 2:
         raise TooLarge("need at least two points")
@@ -196,7 +196,7 @@ def sampled_max(
             best = float(ratios[i])
             best_labels = rows[i]
     if best_labels is None:
-        raise BadArgument(f"all {samples} samples were trivial colorings")
+        raise MstRatioError(f"no nontrivial coloring among {samples} samples")
     return Coloring(best_labels, 2), best
 
 

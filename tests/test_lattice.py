@@ -129,6 +129,15 @@ class TestGeneration:
         with pytest.raises(DuplicatePoints):
             cloud_from_cartesian([[0.5, 0.5], [0.5, 0.5]])
 
+    def test_cartesian_signed_zeros_coincide(self):
+        # 0.0 == -0.0, as np.unique(axis=0) had it
+        with pytest.raises(DuplicatePoints, match="coincident cartesian points"):
+            cloud_from_cartesian([[1.0, 0.0], [0.0, 2.0], [-0.0, 2.0]])
+        with pytest.raises(DuplicatePoints):
+            cloud_from_cartesian([[0.0, -0.0], [-0.0, 0.0]])
+        assert cloud_from_cartesian([[0.0, -0.0], [-0.0, 1.0]]).size == 2
+        assert cloud_from_cartesian([]).size == 0
+
 
 class TestDistinctCoords:
     """Lattice clouds reject coincident rows, after the torus wrap."""

@@ -10,7 +10,7 @@ from oracles import kruskal
 
 from mstratio import search
 from mstratio.constructions import Coloring, mst_ratio
-from mstratio.errors import BadArgument, StaleCache, TooLarge
+from mstratio.errors import MstRatioError, StaleCache, TooLarge
 from mstratio.lattice import (
     Metric,
     Topology,
@@ -165,7 +165,7 @@ def test_sampled_max_stays_below_cap():
 @pytest.mark.parametrize("samples", [0, -3])
 def test_sampled_max_rejects_no_samples(samples):
     cloud = generate_rhombus(square_basis(), 2)
-    with pytest.raises(BadArgument, match="samples"):
+    with pytest.raises(MstRatioError, match=r"samples must be >= 1"):
         search.sampled_max(cloud, Metric.EUCLIDEAN_PLANE, samples=samples, seed=1)
 
 
@@ -178,7 +178,7 @@ def test_sampled_max_rejects_one_point_cloud():
 def test_sampled_max_rejects_only_trivial_samples():
     # seed 0 draws (0, 0) first, the trivial coloring of two points
     cloud = cloud_from_cartesian([[0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(BadArgument, match="trivial"):
+    with pytest.raises(MstRatioError, match="no nontrivial coloring among 1 samples"):
         search.sampled_max(cloud, Metric.EUCLIDEAN_PLANE, samples=1, seed=0)
     _, best = search.sampled_max(cloud, Metric.EUCLIDEAN_PLANE, samples=1, seed=3)
     assert best == 0.0
