@@ -12,8 +12,9 @@ both engines below return the same edges.
   pair (s, t), (-s, -t) mod n is an offset), and run a vectorized Borůvka
   over the ranks.  The cutoff is grown until the candidate graph spans.  The
   candidates are a prefix of the order, so by the Kruskal prefix property
-  the forest of a round that does not span is part of the final tree, and
-  the next round starts from its components.
+  the forest of a round that does not span is part of the final tree; the
+  next round starts from its components and ranks only the pairs above the
+  previous cutoff that join two of them.
 
 Trees are stored as arrays in key order; ``edges`` builds ``Edge`` objects on
 demand.
@@ -230,8 +231,16 @@ def _seed_cutoff(basis: lattice.Basis) -> float:
     return 9.5 * basis.reduced().sq_offset(1, 0)
 
 
-def _plane_offsets(basis: lattice.Basis, sq_cut: float, hex_cut: int | None):
-    """Nonzero offsets (half-plane canonical) with measure below the cutoff."""
+def _in_band(sq, hx, sq_cut: float, hex_cut: int | None, floor: float) -> np.ndarray:
+    """Offsets whose primary measure is at most the cutoff and above ``floor``,
+    the cutoff of the previous round (-inf in the first round)."""
+    if hex_cut is not None:
+        return (hx <= hex_cut) & (hx > floor)
+    return (sq <= sq_cut + 1e-9) & (sq > floor + 1e-9)
+
+
+def _plane_offsets(basis: lattice.Basis, sq_cut: float, hex_cut: int | None, floor):
+    """Nonzero offsets (half-plane canonical) with measure in the cutoff band."""
     g = basis.matrix() @ basis.matrix().T
     tr = g[0, 0] + g[1, 1]
     disc = math.sqrt((g[0, 0] - g[1, 1]) ** 2 + 4 * g[0, 1] ** 2)
@@ -248,12 +257,12 @@ def _plane_offsets(basis: lattice.Basis, sq_cut: float, hex_cut: int | None):
     di, dj = di[half], dj[half]
     sq = basis.sq_offset_arr(di, dj)
     hx = lattice.hex_distance_arr(di, dj)
-    keep = hx <= hex_cut if hex_cut is not None else sq <= sq_cut + 1e-9
+    keep = _in_band(sq, hx, sq_cut, hex_cut, floor)
     return di[keep], dj[keep], sq[keep], hx[keep]
 
 
-def _torus_offsets(basis: lattice.Basis, n: int, sq_cut: float, hex_cut: int | None):
-    """Nonzero residues (s, t) mod n with measure below the cutoff, one of each
+def _torus_offsets(basis: lattice.Basis, n: int, sq_cut: float, hex_cut: int | None, floor):
+    """Nonzero residues (s, t) mod n with measure in the cutoff band, one of each
     inverse pair {(s, t), (-s, -t)}: the first in (s, t) order that passes."""
     rng = np.arange(n)
     s, t = np.meshgrid(rng, rng, indexing="ij")
@@ -261,15 +270,18 @@ def _torus_offsets(basis: lattice.Basis, n: int, sq_cut: float, hex_cut: int | N
     t = t.ravel()
     sq = lattice._torus_sq_arr(basis, n, s, t)
     hx = lattice._torus_hex_arr(n, s, t)
-    keep = hx <= hex_cut if hex_cut is not None else sq <= sq_cut + 1e-9
+    keep = _in_band(sq, hx, sq_cut, hex_cut, floor)
     keep[0] = False  # the zero residue
     inv = (-s % n) * n + (-t % n)  # flat index of the inverse residue
     keep &= ~(keep[inv] & (inv < np.arange(n * n)))
     return s[keep], t[keep], sq[keep], hx[keep]
 
 
-def _lattice_candidates(cloud: PointCloud, metric: Metric, sq_cut: float, hex_cut):
-    """Candidate edges of the cutoff graph, one row per unordered pair."""
+def _lattice_candidates(
+    cloud: PointCloud, metric: Metric, sq_cut: float, hex_cut, floor: float = -math.inf
+):
+    """Candidate edges of the cutoff graph, one row per unordered pair, whose
+    primary measure lies above ``floor``."""
     coords = cloud.coords
     idx = np.arange(cloud.size, dtype=np.int64)
     pairs = []  # (first ends, second ends) for each offset
@@ -277,7 +289,7 @@ def _lattice_candidates(cloud: PointCloud, metric: Metric, sq_cut: float, hex_cu
         # a pair {p, q} differs by the residues q - p and p - q, and only one
         # of them is an offset; a self-inverse one meets it from both ends
         n = cloud.topology.n
-        offs = _torus_offsets(cloud.basis, n, sq_cut, hex_cut)
+        offs = _torus_offsets(cloud.basis, n, sq_cut, hex_cut, floor)
         grid = np.full((n, n), -1, dtype=np.int64)
         grid[coords[:, 0], coords[:, 1]] = idx
         for s, t in zip(offs[0].tolist(), offs[1].tolist()):
@@ -285,7 +297,7 @@ def _lattice_candidates(cloud: PointCloud, metric: Metric, sq_cut: float, hex_cu
             hit = nb > idx if (2 * s) % n == 0 and (2 * t) % n == 0 else nb >= 0
             pairs.append((idx[hit], nb[hit]))
     else:
-        offs = _plane_offsets(cloud.basis, sq_cut, hex_cut)
+        offs = _plane_offsets(cloud.basis, sq_cut, hex_cut, floor)
         imin, jmin = coords.min(axis=0)
         imax, jmax = coords.max(axis=0)
         grid = np.full((imax - imin + 1, jmax - jmin + 1), -1, dtype=np.int64)
@@ -328,16 +340,22 @@ def _mst_arrays(cloud: PointCloud, metric: Metric) -> tuple:
         if pos is None:
             raise InvariantViolation("complete graph failed to span")
         return _select(ranked, pos)
-    # cutoff graph with growth; exact by the Kruskal prefix property
+    # cutoff graph with growth; exact by the Kruskal prefix property, which also
+    # lets a later round take only the pairs above the previous cutoff that
+    # join two components of the forest so far
     sq_cut = _seed_cutoff(cloud.basis)
     hex_cut = 3 if hex_primary else None
+    floor = -math.inf
     sq_max = _max_sq(cloud)
     root = np.arange(v)
     forest = []  # tree edges of each round, each in key order
     found = 0
     while True:
-        cand = _lattice_candidates(cloud, metric, sq_cut, hex_cut)
+        cand = _lattice_candidates(cloud, metric, sq_cut, hex_cut, floor)
         if cand is not None:
+            if found:
+                cross = root[cand[0]] != root[cand[1]]
+                cand = tuple(x[cross] for x in cand)
             ranked = _rank(*cand, hex_primary)
             pos, root = _boruvka(v, ranked[0], ranked[1], root)
             forest.append(_select(ranked, pos))
@@ -349,11 +367,11 @@ def _mst_arrays(cloud: PointCloud, metric: Metric) -> tuple:
         if hex_primary:
             if hex_cut > 2 * (cloud.topology.n or 0) + int(math.isqrt(int(sq_max))) + 2:
                 raise InvariantViolation("hex cutoff growth failed to span")
-            hex_cut *= 2
+            floor, hex_cut = hex_cut, hex_cut * 2
         else:
             if sq_cut > 4 * sq_max:
                 raise InvariantViolation("cutoff growth failed to span")
-            sq_cut *= 4
+            floor, sq_cut = sq_cut, sq_cut * 4
 
 
 def mst(cloud: PointCloud, metric: Metric) -> SpanningTree:

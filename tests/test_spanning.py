@@ -221,8 +221,8 @@ class TestFilteredForest:
 # -- torus candidates of the cutoff path ----------------------------------------
 
 
-def _candidate_rows(cloud, metric, sq_cut, hex_cut):
-    cand = spanning._lattice_candidates(cloud, metric, sq_cut, hex_cut)
+def _candidate_rows(cloud, metric, sq_cut, hex_cut, floor=-math.inf):
+    cand = spanning._lattice_candidates(cloud, metric, sq_cut, hex_cut, floor)
     if cand is None:
         return []
     return list(zip(*(x.tolist() for x in cand)))
@@ -259,6 +259,44 @@ def test_torus_candidates_once_per_pair(basis, n, subset):
             assert len(set(pairs)) == len(pairs)
             assert all(a < b for a, b in pairs)
             assert sorted(rows) == _brute_candidate_rows(cloud, sq_cut, hex_cut)
+
+
+@pytest.mark.parametrize("topology", ["plane", "torus"])
+def test_band_candidates_are_the_new_shell(topology):
+    n = 11
+    cloud = generate_rhombus(hexagonal_basis(), n, Topology.torus(n) if topology == "torus" else None)
+    cloud = cloud.subset(np.random.default_rng(3).permutation(cloud.size)[:70])
+    for metric, cuts in (
+        (Metric.euclidean(cloud.topology), [(1.0, None), (3.0, None), (9.5, None), (38.0, None)]),
+        (Metric.hexagonal(cloud.topology), [(None, 1), (None, 2), (None, 3), (None, 6)]),
+    ):
+        for (lo_sq, lo_hex), (sq_cut, hex_cut) in zip(cuts, cuts[1:]):
+            floor = lo_hex if metric.is_hex else lo_sq
+            band = _candidate_rows(cloud, metric, sq_cut, hex_cut, floor)
+            below = set(_candidate_rows(cloud, metric, lo_sq, lo_hex))
+            whole = _candidate_rows(cloud, metric, sq_cut, hex_cut)
+            assert band and sorted(band) == sorted(r for r in whole if r not in below)
+
+
+@pytest.mark.parametrize("topology", ["plane", "torus"])
+@pytest.mark.parametrize("hexagonal", [False, True], ids=["euclidean", "hex"])
+def test_growth_rounds_match_full_enumeration(monkeypatch, topology, hexagonal):
+    # sparse random subsets leave the first cutoff graph disconnected
+    n = 60
+    full = generate_rhombus(hexagonal_basis(), n, Topology.torus(n) if topology == "torus" else None)
+    cloud = full.subset(np.sort(np.random.default_rng(5).permutation(full.size)[:500]))
+    metric = Metric.hexagonal(cloud.topology) if hexagonal else Metric.euclidean(cloud.topology)
+    rounds = []
+    candidates = spanning._lattice_candidates
+    monkeypatch.setattr(
+        spanning, "_lattice_candidates", lambda *a: rounds.append(a) or candidates(*a)
+    )
+    fast = mst(cloud, metric)
+    assert len(rounds) > 1
+    slow = spanning._kruskal(cloud.size, *spanning._full_pair_arrays(cloud, metric), hexagonal)
+    assert [(e.a, e.b, e.sq_len, e.hex_len) for e in fast.edges] == [
+        (e.a, e.b, e.sq_len, e.hex_len) for e in slow
+    ]
 
 
 def _sublattice(basis, n, keep):
