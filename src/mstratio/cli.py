@@ -316,14 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-points", type=int, default=22)
         elif extra == "anneal":
             p.add_argument("--seed", type=int, default=1)
-            p.add_argument("--budget", type=int, default=10000)
+            p.add_argument("--budget", type=_positive_int, default=10000)
             p.add_argument("--t0", type=float, default=0.05)
             p.add_argument("--alpha", type=float, default=0.999)
             p.add_argument("--init", choices=["given", "random"], default="random")
             p.add_argument("--trace", help="CSV trace output path")
             p.add_argument("--best-out", help="write the best coloring as a canonical document")
         elif extra == "habitat":
-            p.add_argument("--k-max", type=int, default=1)
+            p.add_argument("--k-max", type=_positive_int, default=1)
         elif extra == "persist":
             p.add_argument("--policy", default="max-death",
                            help="max-death, exclude, or an explicit cutoff")
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("audit")
-    p.add_argument("--k-max", type=int, default=1000)
+    p.add_argument("--k-max", type=_positive_int, default=1000)
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--torus", type=int, default=10)
     p.add_argument("--seed", type=int, default=audits.DEFAULT_SEED)

@@ -422,10 +422,6 @@ class Construction:
     closed_form: float | None = None
 
 
-def _euclid_metric(cloud: PointCloud) -> Metric:
-    return Metric.euclidean(cloud.topology)
-
-
 def _build_fig8(params: dict) -> Construction:
     cloud, coloring = fig8()
     return Construction("fig8", {}, cloud, coloring, Metric.EUCLIDEAN_PLANE, 122.0 / 99.0)

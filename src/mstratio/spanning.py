@@ -1,20 +1,25 @@
 """Minimum spanning trees, hexagonal-length trees, and filtration forests.
 
-Candidate edges are ranked once in ``order_key`` order: (sq_len, sq_len, a, b)
-for Euclidean trees and (hex_len, sq_len, a, b) for hexagonal-length trees.
-The order is strict, so the tree is unique and reproducible bit for bit, and
-both engines below return the same edges.
+Candidate edges are ranked in ``order_key`` order: (sq_len, sq_len, a, b) for
+Euclidean trees and (hex_len, sq_len, a, b) for hexagonal-length trees.  The
+order is strict, so the tree is unique and reproducible bit for bit.
 
-* Small clouds and cartesian clouds enumerate all pairs and run a sequential
-  union-find over the ranked edges, which stops at the last tree edge.
+One kernel, a vectorized Borůvka over edge ranks, builds every tree.  It is
+fed bands of candidates, each continuing a prefix of the order:
+
+* Small clouds and cartesian clouds enumerate all pairs; a band is the pairs
+  whose primary measure is at most the (4V)-th smallest, then the (16V)-th
+  smallest of the rest, and so on, found by partitioning, not sorting.
 * Large lattice clouds enumerate only offsets below a distance cutoff, which
   meet each unordered pair once (on a torus, one residue of each inverse
-  pair (s, t), (-s, -t) mod n is an offset), and run a vectorized Borůvka
-  over the ranks.  The cutoff is grown until the candidate graph spans.  The
-  candidates are a prefix of the order, so by the Kruskal prefix property
-  the forest of a round that does not span is part of the final tree; the
-  next round starts from its components and ranks only the pairs above the
-  previous cutoff that join two of them.
+  pair (s, t), (-s, -t) mod n is an offset); a band is the pairs between the
+  previous cutoff and the next, and the cutoff is grown until the tree spans.
+
+By the Kruskal prefix property the forest grown from a prefix is part of the
+final tree, so each band starts from the components of the forest so far and
+keeps only the pairs that join two of them, and only those are ranked.  The
+bands are consecutive key ranges, so their tree edges, concatenated, are in
+key order.  Component labels come from the same kernel.
 
 Trees are stored as arrays in key order; ``edges`` builds ``Edge`` objects on
 demand.
@@ -120,37 +125,8 @@ def _rank(a, b, sq, hx, hex_primary: bool) -> tuple:
     return a[order], b[order], sq[order], None if hx is None else hx[order]
 
 
-def _select(ranked: tuple, pos) -> tuple:
-    pos = np.asarray(pos, dtype=np.int64)
+def _select(ranked: tuple, pos: np.ndarray) -> tuple:
     return tuple(None if x is None else x[pos] for x in ranked)
-
-
-def _union_find(n_points: int, a: np.ndarray, b: np.ndarray) -> list[int] | None:
-    """Positions of the tree edges among ranked edges, or None if they do not span."""
-    parent = list(range(n_points))
-    size = [1] * n_points
-    chosen: list[int] = []
-    need = max(n_points - 1, 0)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
-        ra = find(x)
-        rb = find(y)
-        if ra == rb:
-            continue
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        size[ra] += size[rb]
-        chosen.append(k)
-        if len(chosen) == need:
-            return chosen
-    return chosen if len(chosen) == need else None
 
 
 def _boruvka(n_points: int, a: np.ndarray, b: np.ndarray, root: np.ndarray):
@@ -176,7 +152,7 @@ def _boruvka(n_points: int, a: np.ndarray, b: np.ndarray, root: np.ndarray):
         k = np.arange(m)
         np.minimum.at(best, ra, k)
         np.minimum.at(best, rb, k)
-        comp = np.flatnonzero(best < m)
+        comp = (best < m).nonzero()[0]  # every component with an outgoing edge
         e = best[comp]
         far = ra[e] + rb[e] - comp
         hook = np.arange(n_points)
@@ -184,13 +160,55 @@ def _boruvka(n_points: int, a: np.ndarray, b: np.ndarray, root: np.ndarray):
         mutual = (hook[far] == comp) & (comp < far)
         hook[comp[mutual]] = comp[mutual]
         chosen[pos[e]] = True
+        up = hook[comp]  # hooks lead from comp to comp, so compress only those
         while True:
-            nxt = hook[hook]
-            if np.array_equal(nxt, hook):
+            nxt = hook[up]
+            if (nxt == up).all():
                 break
-            hook = nxt
+            hook[comp] = up = nxt
         ra, rb, root = hook[ra], hook[rb], hook[root]
-    return np.flatnonzero(chosen), root
+    return chosen.nonzero()[0], root
+
+
+def _grow(n_points: int, bands, hex_primary: bool) -> tuple:
+    """Tree edges (a, b, sq, hx) in key order, grown over bands of candidates
+    that are consecutive key ranges.
+
+    Each band keeps only the pairs that join two components of the forest so
+    far, and only those are ranked.
+    """
+    root = np.arange(n_points)
+    forest = []  # tree edges of each band, each in key order
+    found = 0
+    for band in bands:
+        if found:
+            band = _select(band, root[band[0]] != root[band[1]])
+        band = _rank(*band, hex_primary)
+        pos, root = _boruvka(n_points, band[0], band[1], root)
+        forest.append(_select(band, pos))
+        found += len(pos)
+        if found >= n_points - 1:
+            if len(forest) == 1:
+                return forest[0]
+            return tuple(None if col[0] is None else np.concatenate(col) for col in zip(*forest))
+    raise InvariantViolation("candidate edges ran out before the tree spanned")
+
+
+def _prefix_bands(n_points: int, a, b, sq, hx, hex_primary: bool):
+    """The candidates in bands of consecutive key ranges: those whose primary
+    measure is at most the (4V)-th smallest, then at most the (16V)-th
+    smallest of the rest, and so on, ties included."""
+    cand = (a, b, sq, hx)
+    size = 4 * n_points
+    while True:
+        primary = cand[3] if hex_primary else cand[2]
+        if len(primary) <= size:
+            yield cand
+            return
+        low = primary <= np.partition(primary, size - 1)[size - 1]
+        yield _select(cand, low)
+        cand = _select(cand, ~low)
+        size *= 4
 
 
 def _kruskal(
@@ -202,9 +220,11 @@ def _kruskal(
     hex_primary: bool,
 ) -> list[Edge] | None:
     """Tree edges of the candidate graph in key order, or None if it does not span."""
-    ranked = _rank(a, b, sq, hx, hex_primary)
-    pos = _union_find(n_points, ranked[0], ranked[1])
-    return None if pos is None else list(_EdgeArrays(*_select(ranked, pos)).edges)
+    try:
+        tree = _grow(n_points, _prefix_bands(n_points, a, b, sq, hx, hex_primary), hex_primary)
+    except InvariantViolation:
+        return None
+    return list(_EdgeArrays(*tree).edges)
 
 
 def _full_pair_arrays(cloud: PointCloud, metric: Metric):
@@ -213,7 +233,7 @@ def _full_pair_arrays(cloud: PointCloud, metric: Metric):
     sq = lattice.pair_sq(cloud, _euclid_of(metric), ia, ib)
     hx = None
     if cloud.coords is not None:
-        hx = lattice.pair_hex(cloud, _hex_of(metric, cloud), ia, ib)
+        hx = lattice.pair_hex(cloud, _hex_of(metric), ia, ib)
     return ia.astype(np.int64), ib.astype(np.int64), sq, hx
 
 
@@ -221,7 +241,7 @@ def _euclid_of(metric: Metric) -> Metric:
     return Metric.EUCLIDEAN_TORUS if metric.requires_torus else Metric.EUCLIDEAN_PLANE
 
 
-def _hex_of(metric: Metric, cloud: PointCloud) -> Metric:
+def _hex_of(metric: Metric) -> Metric:
     return Metric.HEX_TORUS if metric.requires_torus else Metric.HEX_PLANE
 
 
@@ -330,48 +350,35 @@ def _max_sq(cloud: PointCloud) -> float:
     return float(span[0] ** 2 + span[1] ** 2) + 1.0
 
 
-def _mst_arrays(cloud: PointCloud, metric: Metric) -> tuple:
-    """Tree edges (a, b, sq, hx) in key order."""
-    v = cloud.size
+def _cutoff_bands(cloud: PointCloud, metric: Metric):
+    """Candidates of each cutoff band, the cutoff growing fourfold (hex cutoffs
+    twofold) until it exceeds every distance in the cloud."""
     hex_primary = metric.is_hex
-    if cloud.coords is None or v <= _FULL_PAIR_LIMIT:
-        ranked = _rank(*_full_pair_arrays(cloud, metric), hex_primary)
-        pos = _union_find(v, ranked[0], ranked[1])
-        if pos is None:
-            raise InvariantViolation("complete graph failed to span")
-        return _select(ranked, pos)
-    # cutoff graph with growth; exact by the Kruskal prefix property, which also
-    # lets a later round take only the pairs above the previous cutoff that
-    # join two components of the forest so far
     sq_cut = _seed_cutoff(cloud.basis)
     hex_cut = 3 if hex_primary else None
     floor = -math.inf
     sq_max = _max_sq(cloud)
-    root = np.arange(v)
-    forest = []  # tree edges of each round, each in key order
-    found = 0
     while True:
         cand = _lattice_candidates(cloud, metric, sq_cut, hex_cut, floor)
         if cand is not None:
-            if found:
-                cross = root[cand[0]] != root[cand[1]]
-                cand = tuple(x[cross] for x in cand)
-            ranked = _rank(*cand, hex_primary)
-            pos, root = _boruvka(v, ranked[0], ranked[1], root)
-            forest.append(_select(ranked, pos))
-            found += len(pos)
-            if found == v - 1:
-                if len(forest) == 1:
-                    return forest[0]
-                return _rank(*(np.concatenate(col) for col in zip(*forest)), hex_primary)
+            yield cand
         if hex_primary:
             if hex_cut > 2 * (cloud.topology.n or 0) + int(math.isqrt(int(sq_max))) + 2:
-                raise InvariantViolation("hex cutoff growth failed to span")
+                return
             floor, hex_cut = hex_cut, hex_cut * 2
         else:
             if sq_cut > 4 * sq_max:
-                raise InvariantViolation("cutoff growth failed to span")
+                return
             floor, sq_cut = sq_cut, sq_cut * 4
+
+
+def _mst_arrays(cloud: PointCloud, metric: Metric) -> tuple:
+    """Tree edges (a, b, sq, hx) in key order."""
+    if cloud.coords is None or cloud.size <= _FULL_PAIR_LIMIT:
+        bands = _prefix_bands(cloud.size, *_full_pair_arrays(cloud, metric), metric.is_hex)
+    else:
+        bands = _cutoff_bands(cloud, metric)
+    return _grow(cloud.size, bands, metric.is_hex)
 
 
 def mst(cloud: PointCloud, metric: Metric) -> SpanningTree:
@@ -418,30 +425,17 @@ def filtered_forest(tree: SpanningTree, ell: int) -> Forest:
 def label_components(count: int, a, b) -> np.ndarray:
     """Component label of each of ``count`` vertices in the graph with edges (a, b).
 
-    Labels are 0, 1, ... in the order of each component's smallest vertex.  Each
-    round hooks every root joined to a smaller root onto the smallest such
-    root, then compresses paths until every vertex points at a root; a root
-    never points above itself, so the final root of a component is its
-    smallest vertex.
+    Labels are 0, 1, ... in the order of each component's smallest vertex.  The
+    components come from ``_boruvka`` with the edges ranked in the given order.
     """
-    root = np.arange(count, dtype=np.int64)
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    while True:
-        ra, rb = root[a], root[b]
-        cross = ra != rb
-        if not cross.any():
-            break
-        a, b = a[cross], b[cross]  # an edge inside one component stays inside
-        np.minimum.at(
-            root, np.maximum(ra[cross], rb[cross]), np.minimum(ra[cross], rb[cross])
-        )
-        while True:
-            nxt = root[root]
-            if np.array_equal(nxt, root):
-                break
-            root = nxt
-    return np.unique(root, return_inverse=True)[1]
+    idx = np.arange(count)
+    root = _boruvka(count, a, b, idx)[1]
+    low = np.full(count, count)
+    np.minimum.at(low, root, idx)
+    low = low[root]  # the smallest vertex of each vertex's component
+    return (np.cumsum(low == idx) - 1)[low]
 
 
 def label_groups(labels: np.ndarray) -> list[list[int]]:

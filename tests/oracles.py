@@ -1,8 +1,9 @@
 """Slow, obvious reference implementations for the tests.
 
 Nothing here uses ``mstratio.spanning``: pair distances come from
-``mstratio.lattice`` (tested on its own), and the tree comes from a plain
-sort of Python tuples and a union-find.
+``mstratio.lattice`` (tested on its own), the tree comes from a plain sort
+of Python tuples and a union-find, and component labels from a depth-first
+search.
 """
 from __future__ import annotations
 
@@ -47,3 +48,26 @@ def kruskal(cloud: PointCloud, metric: Metric) -> list[tuple]:
             parent[ra] = rb
             tree.append(e)
     return tree
+
+
+def component_labels(count: int, edges) -> list[int]:
+    """Component label of each vertex, 0, 1, ... in the order of each
+    component's smallest vertex."""
+    adjacent = [[] for _ in range(count)]
+    for x, y in edges:
+        adjacent[x].append(y)
+        adjacent[y].append(x)
+    labels = [-1] * count
+    current = 0
+    for start in range(count):
+        if labels[start] >= 0:
+            continue
+        labels[start] = current
+        stack = [start]
+        while stack:
+            for y in adjacent[stack.pop()]:
+                if labels[y] < 0:
+                    labels[y] = current
+                    stack.append(y)
+        current += 1
+    return labels

@@ -148,6 +148,14 @@ class TestAnneal:
         assert code == 0
         assert json.loads(out3)["ratio"] == pytest.approx(doc["best_ratio"], abs=1e-9)
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_nonpositive_budget_rejected(self, capsys, budget):
+        with pytest.raises(SystemExit) as exc:
+            main(["anneal", "--construction", "packing:quarter", "--torus", "4",
+                  "--budget", budget])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
 
 class TestHabitat:
     def test_quarter_summary(self, capsys):
@@ -158,6 +166,14 @@ class TestHabitat:
         lv = doc["levels"]["1"]
         assert [lv["rooms"], lv["houses"], lv["blocks"], lv["compounds"]] == [16, 16, 1, 1]
         assert lv["beta"] == 32
+
+    @pytest.mark.parametrize("k_max", ["0", "-1"])
+    def test_nonpositive_k_max_rejected(self, capsys, k_max):
+        with pytest.raises(SystemExit) as exc:
+            main(["habitat", "--construction", "packing:quarter", "--torus", "8",
+                  "--k-max", k_max])
+        assert exc.value.code == 2
+        assert "--k-max" in capsys.readouterr().err
 
 
 class TestPersist:
@@ -220,6 +236,13 @@ class TestAudit:
             main(["audit", "--samples", samples])
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k_max", ["0", "-5"])
+    def test_nonpositive_k_max_rejected(self, capsys, k_max):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--samples", "2", "--k-max", k_max])
+        assert exc.value.code == 2
+        assert "--k-max" in capsys.readouterr().err
 
     def test_small_run_passes(self, capsys):
         code, out = run(capsys, "audit", "--samples", "25", "--k-max", "50")

@@ -1,15 +1,17 @@
-"""``mst`` and ``hex_mst`` against the pure-Python Kruskal in ``oracles``.
+"""``mst``, ``hex_mst`` and ``label_components`` against the pure-Python
+references in ``oracles``.
 
-Both engines are covered: clouds of at most 420 points take the full-pair
-path, larger lattice clouds the cutoff path with its growth rounds.
+Both candidate sources are covered: clouds of at most 420 points and
+cartesian clouds rank all pairs and grow the tree over prefix bands, larger
+lattice clouds take the cutoff path with its growth rounds.
 """
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import kruskal
+from oracles import component_labels, kruskal
 
 from mstratio import spanning
 from mstratio.lattice import (
@@ -129,3 +131,73 @@ def test_seed_cutoff_uses_shortest_vector():
     assert spanning._seed_cutoff(hexagonal_basis()) == 9.5
     stretched = Basis((9.0, 0.0), (4.5, math.sqrt(3.0) / 2.0))  # 2v - u = (0, √3)
     assert spanning._seed_cutoff(stretched) == pytest.approx(9.5 * 3.0)
+
+
+def cluster_with_outliers(cartesian: bool):
+    # 64 points within a few units and 4 points far from them and from each
+    # other: the 2016 cluster pairs rank before every other pair and fill the
+    # first two prefix bands (4V = 272 and 16V = 1088 pairs, plus ties), so
+    # the outliers join in the third
+    far = [(40, 0), (0, 45), (50, 50), (-35, 20)]
+    if cartesian:
+        near = np.random.default_rng(3).random((64, 2))
+        return cloud_from_cartesian(np.vstack([near, np.array(far, dtype=float)]))
+    block = [(i, j) for i in range(8) for j in range(8)]
+    return lattice_cloud(hexagonal_basis(), Topology.plane(), block + far)
+
+
+@pytest.mark.parametrize(
+    "cartesian,hex_metric", [(True, False), (False, False), (False, True)],
+    ids=["cartesian", "lattice", "lattice-hex"],
+)
+def test_full_pair_prefix_bands_match_oracle(cartesian, hex_metric, monkeypatch):
+    cloud = cluster_with_outliers(cartesian)
+    assert cloud.size <= spanning._FULL_PAIR_LIMIT  # mst ranks all pairs
+    bands = []
+    boruvka = spanning._boruvka
+
+    def counting(n_points, a, b, root):
+        bands.append(len(a))
+        # a band keeps only the pairs that join two components so far
+        assert (root[a] != root[b]).all()
+        return boruvka(n_points, a, b, root)
+
+    monkeypatch.setattr(spanning, "_boruvka", counting)
+    metric = Metric.HEX_PLANE if hex_metric else Metric.EUCLIDEAN_PLANE
+    tree = hex_mst(cloud) if hex_metric else mst(cloud, metric)
+    assert len(bands) == 3
+    monkeypatch.undo()
+    expect = kruskal(cloud, metric)
+    assert [(e.a, e.b, e.sq_len, e.hex_len) for e in tree.edges] == expect
+    assert tree.total_length == math.fsum(math.sqrt(e[2]) for e in expect)
+
+
+def multigraphs():
+    # self-loops, repeated edges and isolated vertices all occur
+    return st.integers(1, 40).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+        )
+    )
+
+
+@given(graph=multigraphs())
+@example(graph=(7, [(5, 6), (0, 5), (1, 2), (3, 3), (1, 2)]))
+@settings(max_examples=200, deadline=None)
+def test_label_components_matches_oracle(graph):
+    count, edges = graph
+    a = [x for x, _ in edges]
+    b = [y for _, y in edges]
+    labels = spanning.label_components(count, a, b)
+    assert labels.tolist() == component_labels(count, edges)
+
+
+def test_labels_follow_smallest_vertex_not_boruvka_root():
+    # (5, 6) ranks first, so the 2-cycle 5 <-> 6 makes 5 the root of {0, 5, 6},
+    # above the root 1 of {1, 2}
+    a, b = [5, 0, 1, 3, 1], [6, 5, 2, 3, 2]
+    root = spanning._boruvka(7, np.array(a), np.array(b), np.arange(7))[1]
+    assert root[0] == 5 and root[1] == 1
+    assert spanning.label_components(7, a, b).tolist() == [0, 1, 1, 2, 3, 0, 0]
+    assert spanning.label_components(0, [], []).tolist() == []
