@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import habitat, persistence, search, spanning
-from .constructions import Coloring, mst_ratio
+from .constructions import mst_ratio, random_coloring
 from .lattice import (
     Metric,
     Topology,
@@ -124,10 +124,7 @@ def norms_audit(samples: int = 200, seed: int = DEFAULT_SEED) -> AuditOutcome:
             n = int(rng.integers(3, 8))
             cloud = generate_rhombus(square_basis(), n)
             metric = Metric.EUCLIDEAN_PLANE
-        labels = rng.integers(0, 2, cloud.size)
-        if labels.min() == labels.max():
-            labels[0] = 1 - labels[0]
-        coloring = Coloring(tuple(int(x) for x in labels), 2)
+        coloring = random_coloring(rng, cloud.size)
         norms = persistence.chromatic_norms(cloud, coloring, "max-death")
         if norms.kernel_norm < -1e-9:
             return AuditOutcome("chromatic-norms", False, samples, "negative kernel")
@@ -148,10 +145,7 @@ def incremental_audit(samples: int = 200, seed: int = DEFAULT_SEED) -> AuditOutc
     rng = _rng(seed)
     cloud = generate_rhombus(hexagonal_basis(), 6, Topology.torus(6))
     metric = Metric.EUCLIDEAN_TORUS
-    labels = rng.integers(0, 2, cloud.size)
-    if labels.min() == labels.max():
-        labels[0] = 1 - labels[0]
-    coloring = Coloring(tuple(int(x) for x in labels), 2)
+    coloring = random_coloring(rng, cloud.size)
     cache = search.build_cache(cloud, coloring, metric)
     for _ in range(samples):
         flip = int(rng.integers(cloud.size))

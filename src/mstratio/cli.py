@@ -24,6 +24,7 @@ from .constructions import (
     build_construction,
     mst_ratio,
     multiway_ratio,
+    random_coloring,
 )
 from .errors import InvariantViolation, MstRatioError
 from .lattice import Metric, cloud_from_doc, cloud_to_doc
@@ -62,7 +63,7 @@ def _instance(args):
     if getattr(args, "construction", None):
         built = build_construction(
             args.construction,
-            n=getattr(args, "torus", None) or getattr(args, "n", None),
+            n=getattr(args, "n", None),
             r=getattr(args, "r", None),
             eps=getattr(args, "eps", None),
         )
@@ -187,11 +188,7 @@ def cmd_brute(args) -> int:
 def cmd_anneal(args) -> int:
     cloud, coloring, metric, _, name = _instance(args)
     if args.init == "random" or coloring is None or coloring.arity != 2:
-        rng = np.random.Generator(np.random.Philox(args.seed))
-        labels = rng.integers(0, 2, cloud.size)
-        if labels.min() == labels.max():
-            labels[0] = 1 - labels[0]
-        coloring = Coloring(tuple(int(x) for x in labels), 2)
+        coloring = random_coloring(np.random.Generator(np.random.Philox(args.seed)), cloud.size)
     trace = search.local_search(
         cloud, metric, coloring, args.seed, args.budget, args.t0, args.alpha
     )
@@ -285,8 +282,8 @@ def _positive_int(text: str) -> int:
 def _add_instance_args(p: argparse.ArgumentParser):
     p.add_argument("--construction", help="registry name, e.g. fig8 or stretched:r=200")
     p.add_argument("--in", dest="infile", help="canonical JSON point-set document")
-    p.add_argument("--torus", type=int, help="torus period for lattice families")
-    p.add_argument("--n", type=int, help="size parameter override")
+    p.add_argument("--torus", "--n", dest="n", type=int,
+                   help="torus period or size parameter of lattice families")
     p.add_argument("--r", type=float, help="window radius override")
     p.add_argument("--eps", type=float, help="perturbation override")
     p.add_argument("--metric", choices=["euclidean", "hex"], default="euclidean")

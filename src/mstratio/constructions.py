@@ -91,10 +91,13 @@ class Coloring:
         return Coloring(tuple(1 - c for c in self.labels), 2)
 
 
-def coloring_from_subset(size: int, blue_indices) -> Coloring:
-    labels = np.ones(size, dtype=int)
-    labels[np.asarray(list(blue_indices), dtype=int)] = 0
-    return Coloring(tuple(labels), 2)
+def random_coloring(rng: np.random.Generator, size: int) -> Coloring:
+    """A 2-class coloring of uniform random labels; if they all agree, the
+    first one is flipped."""
+    labels = rng.integers(0, 2, size)
+    if labels.min() == labels.max():
+        labels[0] = 1 - labels[0]
+    return Coloring(labels, 2)
 
 
 # -- ratio reports ------------------------------------------------------------
@@ -133,12 +136,6 @@ def supmax_check(report: RatioReport) -> bool:
     return report.ratio <= SUPMAX_CAP + 1e-9
 
 
-def _class_length(cloud: PointCloud, metric: Metric, idx: np.ndarray) -> float:
-    if len(idx) <= 1:
-        return 0.0
-    return spanning.mst(cloud.subset(idx), metric).total_length
-
-
 def multiway_ratio(cloud: PointCloud, coloring: Coloring, metric: Metric) -> RatioReport:
     """Sum of class MST lengths over the MST length of the whole cloud."""
     if cloud.size == 0:
@@ -148,7 +145,7 @@ def multiway_ratio(cloud: PointCloud, coloring: Coloring, metric: Metric) -> Rat
     if len(coloring) != cloud.size:
         raise ValueError("coloring size mismatch")
     lengths = tuple(
-        _class_length(cloud, metric, coloring.class_indices(c))
+        spanning.mst(cloud.subset(coloring.class_indices(c)), metric).total_length
         for c in range(coloring.arity)
     )
     len_total = spanning.mst(cloud, metric).total_length

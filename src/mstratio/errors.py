@@ -14,7 +14,7 @@ class DegenerateSublattice(MstRatioError):
 
 
 class TopologyMismatch(MstRatioError):
-    """A torus metric was requested for a plane cloud, or periods disagree."""
+    """A metric's topology differs from the cloud's, or periods disagree."""
 
 
 class NotHexagonal(MstRatioError):
@@ -47,11 +47,6 @@ class PeriodTooSmall(MstRatioError):
 
 class EmptySet(MstRatioError):
     """A non-empty point subset is required."""
-
-
-# Module-specific names for the same condition.
-EmptySubset = EmptySet
-EmptyClass = EmptySet
 
 
 class RegionTooSmall(MstRatioError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -73,11 +73,6 @@ class Basis:
     def is_hexagonal(self) -> bool:
         """True for the unit hexagonal basis with a +60° angle (u·v = +1/2)."""
         return self.exact_gram and self._g2 == (2, 1, 2)
-
-    @property
-    def is_reduced(self) -> bool:
-        a, b, c = self._g2
-        return a <= c + _GRAM_SNAP and 2 * abs(b) <= a + _GRAM_SNAP
 
     def matrix(self) -> np.ndarray:
         """Rows u, v; cartesian = coords @ matrix()."""
@@ -371,49 +366,51 @@ def nearest_image(basis: Basis, n: int, di, dj) -> tuple[np.ndarray, np.ndarray]
     return di + _SHIFT_I[k, 0] * n, dj + _SHIFT_J[k, 0] * n
 
 
-def _torus_sq_arr(basis: Basis, n: int, di: np.ndarray, dj: np.ndarray) -> np.ndarray:
-    """Squared length of the nearest torus image of di·u + dj·v."""
-    return basis.reduced().sq_offset_arr(*nearest_image(basis, n, di, dj))
+def offset_sq(basis: Basis, topology: Topology, di: np.ndarray, dj: np.ndarray) -> np.ndarray:
+    """Squared Euclidean length of the offset di·u + dj·v; on a torus, of its
+    nearest image."""
+    if topology.is_torus:
+        return basis.reduced().sq_offset_arr(*nearest_image(basis, topology.n, di, dj))
+    return basis.sq_offset_arr(di, dj)
 
 
-def _torus_hex_arr(n: int, di: np.ndarray, dj: np.ndarray) -> np.ndarray:
-    best = None
-    for s in (-1, 0, 1):
-        for t in (-1, 0, 1):
-            h = hex_distance_arr(di + s * n, dj + t * n)
-            best = h if best is None else np.minimum(best, h)
-    return best
+def offset_hex(topology: Topology, di: np.ndarray, dj: np.ndarray) -> np.ndarray:
+    """Hexagonal length of the offset (di, dj); on a torus of period n, with
+    |di|, |dj| < n, the least over its 9 translates by n·(s, t)."""
+    if not topology.is_torus:
+        return hex_distance_arr(di, dj)
+    shifts = zip(_SHIFT_I[:, 0] * topology.n, _SHIFT_J[:, 0] * topology.n)
+    return reduce(np.minimum, (hex_distance_arr(di + s, dj + t) for s, t in shifts))
+
+
+def check_topology(cloud: PointCloud, metric: Metric) -> None:
+    """Raise TopologyMismatch unless the metric measures on the cloud's topology."""
+    if metric.requires_torus != cloud.topology.is_torus:
+        raise TopologyMismatch(f"{metric.value} metric on a {cloud.topology.kind} cloud")
+
+
+def _pair_offsets(rows: np.ndarray, ia, ib) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of rows[ib] - rows[ia]."""
+    ia = np.atleast_1d(np.asarray(ia, dtype=np.int64))
+    ib = np.atleast_1d(np.asarray(ib, dtype=np.int64))
+    return rows[ib, 0] - rows[ia, 0], rows[ib, 1] - rows[ia, 1]
 
 
 def pair_sq(cloud: PointCloud, metric: Metric, ia, ib) -> np.ndarray:
-    """Squared Euclidean pair distances under the metric's topology (vectorized)."""
-    ia = np.atleast_1d(np.asarray(ia, dtype=np.int64))
-    ib = np.atleast_1d(np.asarray(ib, dtype=np.int64))
-    if metric.requires_torus and not cloud.topology.is_torus:
-        raise TopologyMismatch("torus metric on a plane cloud")
+    """Squared Euclidean pair distances on the cloud's topology (vectorized)."""
+    check_topology(cloud, metric)
     if cloud.coords is None:
-        d = cloud.cartesian[ib] - cloud.cartesian[ia]
-        return d[:, 0] ** 2 + d[:, 1] ** 2
-    di = cloud.coords[ib, 0] - cloud.coords[ia, 0]
-    dj = cloud.coords[ib, 1] - cloud.coords[ia, 1]
-    if metric.requires_torus:
-        return _torus_sq_arr(cloud.basis, cloud.topology.n, di, dj)
-    return cloud.basis.sq_offset_arr(di, dj)
+        dx, dy = _pair_offsets(cloud.cartesian, ia, ib)
+        return dx**2 + dy**2
+    return offset_sq(cloud.basis, cloud.topology, *_pair_offsets(cloud.coords, ia, ib))
 
 
 def pair_hex(cloud: PointCloud, metric: Metric, ia, ib) -> np.ndarray:
-    """Hexagonal pair distances (topology taken from the metric)."""
+    """Hexagonal pair distances on the cloud's topology (vectorized)."""
     if cloud.coords is None:
         raise NotHexagonal("hexagonal distance requires lattice coordinates")
-    if metric.requires_torus and not cloud.topology.is_torus:
-        raise TopologyMismatch("torus metric on a plane cloud")
-    ia = np.atleast_1d(np.asarray(ia, dtype=np.int64))
-    ib = np.atleast_1d(np.asarray(ib, dtype=np.int64))
-    di = cloud.coords[ib, 0] - cloud.coords[ia, 0]
-    dj = cloud.coords[ib, 1] - cloud.coords[ia, 1]
-    if metric.requires_torus:
-        return _torus_hex_arr(cloud.topology.n, di, dj)
-    return hex_distance_arr(di, dj)
+    check_topology(cloud, metric)
+    return offset_hex(cloud.topology, *_pair_offsets(cloud.coords, ia, ib))
 
 
 def distance(metric: Metric, cloud: PointCloud, p: int, q: int) -> float:
@@ -427,11 +424,10 @@ def distance_matrix(cloud: PointCloud, metric: Metric) -> np.ndarray:
     """Dense (V, V) matrix of pair distances (lengths, not squares)."""
     v = cloud.size
     ii, jj = np.meshgrid(np.arange(v), np.arange(v), indexing="ij")
-    sq = pair_sq(cloud, metric, ii.ravel(), jj.ravel()) if not metric.is_hex else None
     if metric.is_hex:
         d = pair_hex(cloud, metric, ii.ravel(), jj.ravel()).astype(float)
     else:
-        d = np.sqrt(sq)
+        d = np.sqrt(pair_sq(cloud, metric, ii.ravel(), jj.ravel()))
     return d.reshape(v, v)
 
 

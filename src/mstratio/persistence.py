@@ -55,10 +55,7 @@ def zero_dim_diagram(
     idx = np.asarray(list(subset), dtype=np.int64)
     if len(idx) == 0:
         raise EmptySet("diagram of an empty subset")
-    deaths = []
-    if len(idx) > 1:
-        tree = spanning.mst(cloud.subset(idx), metric)
-        deaths = (np.sqrt(tree.sq) / 2.0).tolist()
+    deaths = (np.sqrt(spanning.mst(cloud.subset(idx), metric).sq) / 2.0).tolist()
     max_death = max(deaths, default=0.0)
     if cutoff is None:
         cutoff = max_death
@@ -124,15 +121,10 @@ def chromatic_norms(
     if len(idx_b) == 0 or len(idx_c) == 0:
         raise EmptySet("both classes must be non-empty")
     metric = Metric.euclidean(cloud.topology)
-    trees = [
-        spanning.mst(cloud.subset(idx), metric) if len(idx) > 1 else None
-        for idx in (idx_b, idx_c)
-    ]
+    tree_b, tree_c = (spanning.mst(cloud.subset(idx), metric) for idx in (idx_b, idx_c))
     tree_a = spanning.mst(cloud, metric)
-    len_b = trees[0].total_length if trees[0] else 0.0
-    len_c = trees[1].total_length if trees[1] else 0.0
-    len_a = tree_a.total_length
-    sq = np.concatenate([t.sq for t in (tree_a, *trees) if t])
+    len_a, len_b, len_c = (t.total_length for t in (tree_a, tree_b, tree_c))
+    sq = np.concatenate([t.sq for t in (tree_a, tree_b, tree_c)])
     q = _resolve_cutoff(cutoff_policy, (np.sqrt(sq) / 2.0).tolist())
     domain = len_b / 2.0 + len_c / 2.0 + 2.0 * q
     image = len_a / 2.0 + q

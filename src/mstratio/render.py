@@ -126,22 +126,15 @@ def render_svg(
                 canvas.polygon(corners, fill)
 
     if coloring is None:
-        trees = [(spanning.mst(cloud, metric), "#555555")]
+        strokes = [(np.arange(cloud.size), "#555555")]
     else:
-        trees = []
-        for c in range(coloring.arity):
-            idx = coloring.class_indices(c)
-            if len(idx) > 1:
-                sub = cloud.subset(idx)
-                tree = spanning.mst(sub, metric)
-                trees.append((tree, CLASS_FILLS[c % len(CLASS_FILLS)], idx))
-    for entry in trees:
-        if coloring is None:
-            tree, color = entry
-            idx = np.arange(cloud.size)
-        else:
-            tree, color, idx = entry
-        stroke = "#888888" if color == "#ffffff" else color
+        fills = [CLASS_FILLS[c % len(CLASS_FILLS)] for c in range(coloring.arity)]
+        strokes = [
+            (coloring.class_indices(c), "#888888" if fill == "#ffffff" else fill)
+            for c, fill in enumerate(fills)
+        ]
+    for idx, stroke in strokes:
+        tree = spanning.mst(cloud.subset(idx), metric)
         for e in tree.edges:
             x1, y1, x2, y2 = _edge_segment(cloud, int(idx[e.a]), int(idx[e.b]))
             canvas.line((x1, y1), (x2, y2), stroke, 3.0)

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lattice
-from .errors import InvariantViolation, NotHexagonal, TopologyMismatch
+from .errors import InvariantViolation, NotHexagonal
 from .lattice import Metric, PointCloud
 
 _FULL_PAIR_LIMIT = 420  # below this, all pairs are enumerated directly
@@ -228,21 +228,12 @@ def _kruskal(
 
 
 def _full_pair_arrays(cloud: PointCloud, metric: Metric):
-    v = cloud.size
-    ia, ib = np.triu_indices(v, k=1)
-    sq = lattice.pair_sq(cloud, _euclid_of(metric), ia, ib)
-    hx = None
-    if cloud.coords is not None:
-        hx = lattice.pair_hex(cloud, _hex_of(metric), ia, ib)
-    return ia.astype(np.int64), ib.astype(np.int64), sq, hx
-
-
-def _euclid_of(metric: Metric) -> Metric:
-    return Metric.EUCLIDEAN_TORUS if metric.requires_torus else Metric.EUCLIDEAN_PLANE
-
-
-def _hex_of(metric: Metric) -> Metric:
-    return Metric.HEX_TORUS if metric.requires_torus else Metric.HEX_PLANE
+    ia, ib = np.triu_indices(cloud.size, k=1)
+    if cloud.coords is None:
+        return ia, ib, lattice.pair_sq(cloud, metric, ia, ib), None
+    di, dj = lattice._pair_offsets(cloud.coords, ia, ib)
+    sq = lattice.offset_sq(cloud.basis, cloud.topology, di, dj)
+    return ia, ib, sq, lattice.offset_hex(cloud.topology, di, dj)
 
 
 def _seed_cutoff(basis: lattice.Basis) -> float:
@@ -251,17 +242,22 @@ def _seed_cutoff(basis: lattice.Basis) -> float:
     return 9.5 * basis.reduced().sq_offset(1, 0)
 
 
-def _in_band(sq, hx, sq_cut: float, hex_cut: int | None, floor: float) -> np.ndarray:
-    """Offsets whose primary measure is at most the cutoff and above ``floor``,
-    the cutoff of the previous round (-inf in the first round)."""
+def _in_band(cloud: PointCloud, di, dj, sq_cut: float, hex_cut: int | None, floor) -> tuple:
+    """The offsets (di, dj, sq, hx) whose primary measure is at most the cutoff
+    and above ``floor``, the cutoff of the previous round (-inf in the first
+    round), and the mask that picked them."""
+    sq = lattice.offset_sq(cloud.basis, cloud.topology, di, dj)
+    hx = lattice.offset_hex(cloud.topology, di, dj)
     if hex_cut is not None:
-        return (hx <= hex_cut) & (hx > floor)
-    return (sq <= sq_cut + 1e-9) & (sq > floor + 1e-9)
+        keep = (hx <= hex_cut) & (hx > floor)
+    else:
+        keep = (sq <= sq_cut + 1e-9) & (sq > floor + 1e-9)
+    return keep, (di, dj, sq, hx)
 
 
-def _plane_offsets(basis: lattice.Basis, sq_cut: float, hex_cut: int | None, floor):
+def _plane_offsets(cloud: PointCloud, sq_cut: float, hex_cut: int | None, floor):
     """Nonzero offsets (half-plane canonical) with measure in the cutoff band."""
-    g = basis.matrix() @ basis.matrix().T
+    g = cloud.basis.matrix() @ cloud.basis.matrix().T
     tr = g[0, 0] + g[1, 1]
     disc = math.sqrt((g[0, 0] - g[1, 1]) ** 2 + 4 * g[0, 1] ** 2)
     lam_min = max((tr - disc) / 2.0, 1e-12)
@@ -274,63 +270,60 @@ def _plane_offsets(basis: lattice.Basis, sq_cut: float, hex_cut: int | None, flo
     di = di.ravel()
     dj = dj.ravel()
     half = (dj > 0) | ((dj == 0) & (di > 0))
-    di, dj = di[half], dj[half]
-    sq = basis.sq_offset_arr(di, dj)
-    hx = lattice.hex_distance_arr(di, dj)
-    keep = _in_band(sq, hx, sq_cut, hex_cut, floor)
-    return di[keep], dj[keep], sq[keep], hx[keep]
+    keep, offs = _in_band(cloud, di[half], dj[half], sq_cut, hex_cut, floor)
+    return _select(offs, keep)
 
 
-def _torus_offsets(basis: lattice.Basis, n: int, sq_cut: float, hex_cut: int | None, floor):
+def _torus_offsets(cloud: PointCloud, sq_cut: float, hex_cut: int | None, floor):
     """Nonzero residues (s, t) mod n with measure in the cutoff band, one of each
     inverse pair {(s, t), (-s, -t)}: the first in (s, t) order that passes."""
+    n = cloud.topology.n
     rng = np.arange(n)
     s, t = np.meshgrid(rng, rng, indexing="ij")
     s = s.ravel()
     t = t.ravel()
-    sq = lattice._torus_sq_arr(basis, n, s, t)
-    hx = lattice._torus_hex_arr(n, s, t)
-    keep = _in_band(sq, hx, sq_cut, hex_cut, floor)
+    keep, offs = _in_band(cloud, s, t, sq_cut, hex_cut, floor)
     keep[0] = False  # the zero residue
     inv = (-s % n) * n + (-t % n)  # flat index of the inverse residue
     keep &= ~(keep[inv] & (inv < np.arange(n * n)))
-    return s[keep], t[keep], sq[keep], hx[keep]
+    return _select(offs, keep)
 
 
 def _lattice_candidates(
     cloud: PointCloud, metric: Metric, sq_cut: float, hex_cut, floor: float = -math.inf
 ):
     """Candidate edges of the cutoff graph, one row per unordered pair, whose
-    primary measure lies above ``floor``."""
-    coords = cloud.coords
-    idx = np.arange(cloud.size, dtype=np.int64)
-    pairs = []  # (first ends, second ends) for each offset
-    if cloud.topology.is_torus:
-        # a pair {p, q} differs by the residues q - p and p - q, and only one
-        # of them is an offset; a self-inverse one meets it from both ends
-        n = cloud.topology.n
-        offs = _torus_offsets(cloud.basis, n, sq_cut, hex_cut, floor)
-        grid = np.full((n, n), -1, dtype=np.int64)
-        grid[coords[:, 0], coords[:, 1]] = idx
-        for s, t in zip(offs[0].tolist(), offs[1].tolist()):
-            nb = grid[(coords[:, 0] + s) % n, (coords[:, 1] + t) % n]
-            hit = nb > idx if (2 * s) % n == 0 and (2 * t) % n == 0 else nb >= 0
-            pairs.append((idx[hit], nb[hit]))
-    else:
-        offs = _plane_offsets(cloud.basis, sq_cut, hex_cut, floor)
-        imin, jmin = coords.min(axis=0)
-        imax, jmax = coords.max(axis=0)
-        grid = np.full((imax - imin + 1, jmax - jmin + 1), -1, dtype=np.int64)
-        grid[coords[:, 0] - imin, coords[:, 1] - jmin] = idx
-        for di, dj in zip(offs[0].tolist(), offs[1].tolist()):
-            ni = coords[:, 0] + di
-            nj = coords[:, 1] + dj
-            ok = (ni >= imin) & (ni <= imax) & (nj >= jmin) & (nj <= jmax)
-            nb = grid[ni[ok] - imin, nj[ok] - jmin]
-            hit = nb >= 0
-            pairs.append((idx[ok][hit], nb[hit]))
-    if not pairs:
+    primary measure lies above ``floor``.
+
+    Every point p looks up p + (s, t) for each offset in a grid that wraps with
+    a period per axis.  A torus is its own grid.  A plane cloud, shifted to
+    start at 0, sits in a grid of period ptp + 1 + 2·reach per axis, where
+    reach is the largest offset component: then no offset wraps onto a point
+    or onto its own inverse, so the plane's half-plane offsets meet each pair
+    once, as the torus's residues do.  A pair {p, q} differs by the residues
+    q - p and p - q, and only one of them is an offset; a self-inverse one
+    meets it from both ends, so only the end with nb > idx is kept.
+    """
+    torus = cloud.topology.is_torus
+    offs = (_torus_offsets if torus else _plane_offsets)(cloud, sq_cut, hex_cut, floor)
+    if not len(offs[0]):
         return None
+    if torus:
+        coords, period = cloud.coords, (cloud.topology.n,) * 2
+    else:
+        reach = int(np.abs(np.concatenate(offs[:2])).max())
+        coords = cloud.coords - cloud.coords.min(axis=0)
+        period = tuple((coords.max(axis=0) + 1 + 2 * reach).tolist())
+    pi, pj = period
+    ci, cj = np.ascontiguousarray(coords.T)
+    idx = np.arange(cloud.size, dtype=np.int64)
+    grid = np.full(period, -1, dtype=np.int64)
+    grid[ci, cj] = idx
+    pairs = []  # (first ends, second ends) for each offset
+    for s, t in zip(offs[0].tolist(), offs[1].tolist()):
+        nb = grid[(ci + s) % pi, (cj + t) % pj]
+        hit = nb > idx if (2 * s) % pi == 0 and (2 * t) % pj == 0 else nb >= 0
+        pairs.append((idx[hit], nb[hit]))
     ia = np.concatenate([p[0] for p in pairs])
     ib = np.concatenate([p[1] for p in pairs])
     counts = [len(p[0]) for p in pairs]
@@ -387,8 +380,7 @@ def mst(cloud: PointCloud, metric: Metric) -> SpanningTree:
     Hex metrics minimize hexagonal length with Euclidean tie-break;
     ``total_length`` is always the Euclidean total.
     """
-    if metric.requires_torus and not cloud.topology.is_torus:
-        raise TopologyMismatch("torus metric on a plane cloud")
+    lattice.check_topology(cloud, metric)
     if metric.is_hex and cloud.coords is None:
         raise NotHexagonal("hex trees need lattice coordinates")
     a, b, sq, hx = _mst_arrays(cloud, metric)

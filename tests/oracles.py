@@ -1,13 +1,36 @@
 """Slow, obvious reference implementations for the tests.
 
-Nothing here uses ``mstratio.spanning``: pair distances come from
-``mstratio.lattice`` (tested on its own), the tree comes from a plain sort
-of Python tuples and a union-find, and component labels from a depth-first
-search.
+Nothing here uses ``mstratio.spanning``: squared pair distances come from
+``mstratio.lattice`` (tested on its own), hexagonal lengths from a
+wide-window search written here, the tree comes from a plain sort of Python
+tuples and a union-find, and component labels from a depth-first search.
 """
 from __future__ import annotations
 
-from mstratio.lattice import Metric, PointCloud, pair_hex, pair_sq
+import numpy as np
+
+from mstratio.lattice import Metric, PointCloud, pair_sq
+
+WINDOW = 4  # torus translates n·(s, t) with |s|, |t| <= WINDOW
+
+
+def hex_lengths(cloud: PointCloud, ia, ib) -> np.ndarray:
+    """Hexagonal lengths max(|i|, |j|, |i + j|) of the pair offsets; on a
+    torus of period n, the least over the offset's translates by n·(s, t),
+    |s|, |t| <= WINDOW."""
+    ia = np.asarray(ia, dtype=np.int64)
+    ib = np.asarray(ib, dtype=np.int64)
+    di = cloud.coords[ib, 0] - cloud.coords[ia, 0]
+    dj = cloud.coords[ib, 1] - cloud.coords[ia, 1]
+    n = cloud.topology.n if cloud.topology.is_torus else 0
+    window = range(-WINDOW, WINDOW + 1) if n else [0]
+    best = None
+    for s in window:
+        for t in window:
+            i, j = di + s * n, dj + t * n
+            h = np.maximum(np.maximum(np.abs(i), np.abs(j)), np.abs(i + j))
+            best = h if best is None else np.minimum(best, h)
+    return best
 
 
 def kruskal(cloud: PointCloud, metric: Metric) -> list[tuple]:
@@ -21,12 +44,11 @@ def kruskal(cloud: PointCloud, metric: Metric) -> list[tuple]:
     pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
     ia = [p[0] for p in pairs]
     ib = [p[1] for p in pairs]
-    torus = metric.requires_torus
-    sq = pair_sq(cloud, Metric.EUCLIDEAN_TORUS if torus else Metric.EUCLIDEAN_PLANE, ia, ib)
+    sq = pair_sq(cloud, Metric.euclidean(cloud.topology), ia, ib)
     if cloud.coords is None:
         hx = [None] * len(pairs)
     else:
-        hx = pair_hex(cloud, Metric.HEX_TORUS if torus else Metric.HEX_PLANE, ia, ib).tolist()
+        hx = hex_lengths(cloud, ia, ib).tolist()
     edges = list(zip(ia, ib, sq.tolist(), hx))
     if metric.is_hex:
         edges.sort(key=lambda e: (e[3], e[2], e[0], e[1]))

@@ -45,6 +45,24 @@ class TestRatio:
         code, _ = run(capsys, "ratio", "--construction", "nonesuch")
         assert code == 3
 
+    def test_torus_zero_rejected_like_n_zero(self, capsys):
+        results = []
+        for flag in ("--torus", "--n"):
+            code = main(["ratio", "--construction", "packing:quarter", flag, "0"])
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        assert results[0] == results[1]
+        assert results[0][0] == 3 and results[0][2].startswith("error: ")
+
+    def test_torus_and_n_are_one_option(self, capsys):
+        outs = [
+            run(capsys, "ratio", "--construction", "packing:quarter", flag, "6")
+            for flag in ("--torus", "--n")
+        ]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
+        assert json.loads(outs[0][1])["class_counts"] == [9, 27]
+
 
 class TestSweep:
     def test_quarter_closed_form(self, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import hex_lengths
 
 from mstratio.errors import (
     DegenerateBasis,
@@ -25,6 +26,7 @@ from mstratio.lattice import (
     lattice_cloud,
     make_basis,
     nearest_image,
+    pair_hex,
     pair_sq,
     square_basis,
     tri_coords,
@@ -416,3 +418,14 @@ class TestNearestImage:
         shifts = np.column_stack([s.ravel(), t.ravel()]) @ (n * basis.matrix())
         best = float(np.min(np.sum((offset + shifts) ** 2, axis=1)))
         assert float(np.sum(image**2)) == pytest.approx(best, rel=1e-9, abs=1e-9)
+
+
+class TestTorusHexLength:
+    @pytest.mark.parametrize("n", range(2, 16))
+    def test_every_offset_matches_wide_window(self, n):
+        # ordered pairs of the full torus meet every coordinate difference
+        # (di, dj) with |di|, |dj| < n
+        cloud = generate_rhombus(hexagonal_basis(), n, Topology.torus(n))
+        ia, ib = (x.ravel() for x in np.meshgrid(np.arange(cloud.size), np.arange(cloud.size)))
+        expect = hex_lengths(cloud, ia, ib)
+        assert pair_hex(cloud, Metric.HEX_TORUS, ia, ib).tolist() == expect.tolist()

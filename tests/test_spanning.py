@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import kruskal
 
 from mstratio import constructions as cons
 from mstratio import spanning
@@ -12,6 +13,7 @@ from mstratio.lattice import (
     Metric,
     Topology,
     cloud_from_cartesian,
+    distance_matrix,
     generate_rhombus,
     hexagonal_basis,
     lattice_cloud,
@@ -342,3 +344,77 @@ def test_tree_json_export():
     assert len(doc["edges"]) == 2
     assert {v for e in doc["edges"] for v in e} == {0, 1, 2}
     assert doc["length"] == pytest.approx(2.0)
+
+
+def _split_torus_cloud(n, s):
+    """A hexagonal torus cloud of columns i = 0 (mod s), each a band of rows
+    near j = 0 that wraps across the seam; its plane and torus trees differ."""
+    coords = [(i, j) for i in range(n) for j in range(n) if i % s == 0 and (j < 8 or j > n - 4)]
+    return lattice_cloud(hexagonal_basis(), Topology.torus(n), coords)
+
+
+@pytest.mark.parametrize("n,s", [(60, 3), (90, 2)], ids=["220-full-pair", "495-cutoff"])
+@pytest.mark.parametrize("metric", [Metric.EUCLIDEAN_PLANE, Metric.HEX_PLANE])
+def test_plane_metric_on_torus_cloud_rejected(n, s, metric):
+    cloud = _split_torus_cloud(n, s)
+    assert (cloud.size > spanning._FULL_PAIR_LIMIT) == (n == 90)
+    for call in (
+        lambda: mst(cloud, metric),
+        lambda: pair_sq(cloud, metric, [0], [1]),
+        lambda: pair_hex(cloud, metric, [0], [1]),
+        lambda: distance_matrix(cloud, metric),
+    ):
+        with pytest.raises(TopologyMismatch):
+            call()
+
+
+# -- plane candidates of the cutoff path ----------------------------------------
+
+
+def _stripe(basis, long, wide, transpose, keep):
+    """A (long x wide) block of lattice points, thin along one axis."""
+    i, j = np.meshgrid(np.arange(long) - 7, np.arange(wide) - 2, indexing="ij")
+    coords = np.column_stack([i.ravel(), j.ravel()])
+    if transpose:
+        coords = coords[:, ::-1]
+    coords = coords[np.random.default_rng(long).random(len(coords)) < keep]
+    return lattice_cloud(basis, Topology.plane(), coords)
+
+
+def _brute_plane_rows(cloud, sq_cut, hex_cut, floor=-math.inf):
+    ia, ib = np.triu_indices(cloud.size, k=1)
+    sq = pair_sq(cloud, Metric.EUCLIDEAN_PLANE, ia, ib)
+    hx = pair_hex(cloud, Metric.HEX_PLANE, ia, ib)
+    if hex_cut is not None:
+        keep = (hx <= hex_cut) & (hx > floor)
+    else:
+        keep = (sq <= sq_cut + 1e-9) & (sq > floor + 1e-9)
+    return list(zip(*(x[keep].tolist() for x in (ia, ib, sq, hx))))
+
+
+@pytest.mark.parametrize("basis", [hexagonal_basis(), square_basis(), NON_REDUCED],
+                         ids=["hex", "square", "non-reduced"])
+@pytest.mark.parametrize("wide", [1, 2, 3])
+@pytest.mark.parametrize("transpose", [False, True], ids=["thin-j", "thin-i"])
+def test_plane_candidates_on_thin_clouds(basis, wide, transpose):
+    # thinner than the offset reach on one axis, so an unpadded grid would
+    # wrap offsets onto points of the same rows
+    cloud = _stripe(basis, 700 // wide, wide, transpose, keep=0.9)
+    assert cloud.size > spanning._FULL_PAIR_LIMIT
+    seed = spanning._seed_cutoff(basis)
+    for metric, cuts in (
+        (Metric.EUCLIDEAN_PLANE, [(seed, None, -math.inf), (4 * seed, None, seed)]),
+        (Metric.HEX_PLANE, [(None, 3, -math.inf), (None, 6, 3)]),
+    ):
+        for sq_cut, hex_cut, floor in cuts:
+            rows = _candidate_rows(cloud, metric, sq_cut, hex_cut, floor)
+            assert len(set((a, b) for a, b, _, _ in rows)) == len(rows)
+            assert sorted(rows) == _brute_plane_rows(cloud, sq_cut, hex_cut, floor)
+
+
+@pytest.mark.parametrize("hexagonal", [False, True], ids=["euclidean", "hex"])
+def test_thin_plane_cloud_tree_matches_oracle(hexagonal):
+    cloud = _stripe(hexagonal_basis(), 300, 2, False, keep=0.8)
+    metric = Metric.HEX_PLANE if hexagonal else Metric.EUCLIDEAN_PLANE
+    tree = mst(cloud, metric)
+    assert [(e.a, e.b, e.sq_len, e.hex_len) for e in tree.edges] == kruskal(cloud, metric)
