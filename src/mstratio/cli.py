@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 bad configuration (argparse), 3 construction error,
 bug, reported instead of a traceback).  All machine output uses '.' as the
 decimal separator and 12 significant digits; runs that take a --seed are
 byte-reproducible.  MSTRATIO_THREADS > 1 parallelizes sweeps across parameter
-values with deterministic output ordering.
+values with deterministic output ordering, in at most one worker process per
+value; a value that is not an integer exits 2.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -159,8 +159,15 @@ def cmd_sweep(args) -> int:
         tasks = [(args.family, float(v)) for v in values]
     else:
         tasks = [(args.family, _integral(v)) for v in values]
-    workers = int(os.environ.get("MSTRATIO_THREADS", "1"))
+    threads = os.environ.get("MSTRATIO_THREADS", "1")
+    try:
+        workers = min(int(threads), len(tasks))
+    except ValueError:
+        print(f"error: MSTRATIO_THREADS must be an integer, not {threads!r}", file=sys.stderr)
+        return EXIT_CONFIG
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:

@@ -48,7 +48,11 @@ SQRT3 = math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class Coloring:
-    """Per-point labels partitioning a cloud into classes 0..arity-1."""
+    """Per-point labels partitioning a cloud into classes 0..arity-1.
+
+    ``labels`` is a tuple; a read-only int64 copy of it serves
+    ``class_indices`` and ``counts``.
+    """
 
     labels: tuple[int, ...]
     arity: int = 2
@@ -57,7 +61,7 @@ class Coloring:
         labels = self.labels
         if isinstance(labels, Iterator):
             labels = list(labels)
-        arr = np.asarray(labels, dtype=np.int64)
+        arr = np.array(labels, dtype=np.int64)  # a copy, never the caller's array
         if arr.ndim != 1:
             raise TypeError("labels must be a flat sequence of integers")
         if self.arity < 2:
@@ -66,17 +70,18 @@ class Coloring:
         if np.any(arr.view(np.uint64) >= self.arity):
             raise ValueError("label out of range")
         object.__setattr__(self, "labels", tuple(arr.tolist()))
+        arr.setflags(write=False)
+        object.__setattr__(self, "_array", arr)
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def class_indices(self, c: int) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self.labels) == c)
+        return np.flatnonzero(self._array == c)
 
     @property
     def counts(self) -> tuple[int, ...]:
-        arr = np.asarray(self.labels)
-        return tuple(int((arr == c).sum()) for c in range(self.arity))
+        return tuple(np.bincount(self._array, minlength=self.arity).tolist())
 
     def flipped(self, index: int) -> "Coloring":
         if self.arity != 2:

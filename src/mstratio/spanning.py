@@ -13,13 +13,21 @@ fed bands of candidates, each continuing a prefix of the order:
 * Large lattice clouds enumerate only offsets below a distance cutoff, which
   meet each unordered pair once (on a torus, one residue of each inverse
   pair (s, t), (-s, -t) mod n is an offset); a band is the pairs between the
-  previous cutoff and the next, and the cutoff is grown until the tree spans.
+  previous cutoff and the next, and the cutoff is grown until the tree spans,
+  which it does at the latest once the cutoff reaches the largest measure an
+  offset of the cloud can have.
 
 By the Kruskal prefix property the forest grown from a prefix is part of the
 final tree, so each band starts from the components of the forest so far and
 keeps only the pairs that join two of them, and only those are ranked.  The
 bands are consecutive key ranges, so their tree edges, concatenated, are in
 key order.  Component labels come from the same kernel.
+
+Ranking is a stable sort by measure alone, because every band's rows arrive
+in (a, b) order within each measure: prefix bands come from
+``np.triu_indices`` and boolean masks keep that order, and a cutoff band is
+emitted in key order by one sort of int64 keys that pack (measure class, a,
+b), so ranking it is one linear pass.
 
 Trees are stored as arrays in key order; ``edges`` builds ``Edge`` objects on
 demand.
@@ -120,8 +128,12 @@ class Forest(_EdgeArrays):
 
 
 def _rank(a, b, sq, hx, hex_primary: bool) -> tuple:
-    """The candidate arrays (a, b, sq, hx) sorted by the strict key order."""
-    order = np.lexsort((b, a, sq, hx) if hex_primary else (b, a, sq))
+    """The candidate arrays (a, b, sq, hx) sorted by the strict key order.
+
+    Rows must arrive in (a, b) order within each measure, so that a stable
+    sort by measure alone completes the order.
+    """
+    order = np.lexsort((sq, hx)) if hex_primary else np.argsort(sq, kind="stable")
     return a[order], b[order], sq[order], None if hx is None else hx[order]
 
 
@@ -256,22 +268,30 @@ def _in_band(cloud: PointCloud, di, dj, sq_cut: float, hex_cut: int | None, floo
 
 
 def _plane_offsets(cloud: PointCloud, sq_cut: float, hex_cut: int | None, floor):
-    """Nonzero offsets (half-plane canonical) with measure in the cutoff band."""
-    g = cloud.basis.matrix() @ cloud.basis.matrix().T
-    tr = g[0, 0] + g[1, 1]
-    disc = math.sqrt((g[0, 0] - g[1, 1]) ** 2 + 4 * g[0, 1] ** 2)
-    lam_min = max((tr - disc) / 2.0, 1e-12)
+    """Nonzero offsets (half-plane canonical) with measure in the cutoff band,
+    within the box of the cloud's coordinate spreads (no pair differs by more).
+
+    Hex offsets come from the box |di|, |dj| <= hex_cut.  Euclidean offsets
+    come from a box in the coefficients of the reduced basis, whose smallest
+    Gram eigenvalue bounds the box even when the cloud's own basis is skewed,
+    and are mapped back to the cloud's basis.
+    """
     if hex_cut is not None:
-        m = int(hex_cut) + 1
+        m, ((a, b), (c, d)) = int(hex_cut), ((1, 0), (0, 1))
     else:
-        m = int(math.ceil(math.sqrt(sq_cut / lam_min))) + 1
+        reduced, ((a, b), (c, d)) = cloud.basis._reduction
+        g = reduced.matrix() @ reduced.matrix().T
+        lam_min = (g[0, 0] + g[1, 1] - math.hypot(g[0, 0] - g[1, 1], 2 * g[0, 1])) / 2.0
+        m = int(math.ceil(math.sqrt(sq_cut / max(lam_min, 1e-12)))) + 1
     rng = np.arange(-m, m + 1)
-    di, dj = np.meshgrid(rng, rng, indexing="ij")
-    di = di.ravel()
-    dj = dj.ravel()
+    ri, rj = (x.ravel() for x in np.meshgrid(rng, rng, indexing="ij"))
+    det = a * d - b * c  # ±1
+    di, dj = det * (ri * d - rj * c), det * (rj * a - ri * b)
+    spread = np.ptp(cloud.coords, axis=0)
     half = (dj > 0) | ((dj == 0) & (di > 0))
-    keep, offs = _in_band(cloud, di[half], dj[half], sq_cut, hex_cut, floor)
-    return _select(offs, keep)
+    keep = half & (np.abs(di) <= spread[0]) & (np.abs(dj) <= spread[1])
+    keep_band, offs = _in_band(cloud, di[keep], dj[keep], sq_cut, hex_cut, floor)
+    return _select(offs, keep_band)
 
 
 def _torus_offsets(cloud: PointCloud, sq_cut: float, hex_cut: int | None, floor):
@@ -289,80 +309,121 @@ def _torus_offsets(cloud: PointCloud, sq_cut: float, hex_cut: int | None, floor)
     return _select(offs, keep)
 
 
-def _lattice_candidates(
-    cloud: PointCloud, metric: Metric, sq_cut: float, hex_cut, floor: float = -math.inf
-):
-    """Candidate edges of the cutoff graph, one row per unordered pair, whose
-    primary measure lies above ``floor``.
+def _key_shifts(n_points: int, n_offsets: int) -> tuple[int, int, int]:
+    """Bit shifts of the class, a and b fields of a candidate key whose lowest
+    bits hold the offset index, for ``n_points`` points and ``n_offsets``
+    offsets (at most as many classes); InvariantViolation if a key would not
+    fit in 63 bits."""
+    v_bits = max(n_points - 1, 1).bit_length()
+    k_bits = max(n_offsets - 1, 1).bit_length()
+    if 2 * v_bits + 2 * k_bits > 63:
+        raise InvariantViolation(
+            f"candidate keys of {n_points} points and {n_offsets} offsets exceed 63 bits"
+        )
+    return k_bits + 2 * v_bits, k_bits + v_bits, k_bits
 
-    Every point p looks up p + (s, t) for each offset in a grid that wraps with
-    a period per axis.  A torus is its own grid.  A plane cloud, shifted to
-    start at 0, sits in a grid of period ptp + 1 + 2·reach per axis, where
-    reach is the largest offset component: then no offset wraps onto a point
-    or onto its own inverse, so the plane's half-plane offsets meet each pair
-    once, as the torus's residues do.  A pair {p, q} differs by the residues
-    q - p and p - q, and only one of them is an offset; a self-inverse one
-    meets it from both ends, so only the end with nb > idx is kept.
+
+def _lattice_candidates(
+    cloud: PointCloud, metric: Metric, sq_cut: float | None, hex_cut, floor: float = -math.inf
+):
+    """Candidate edges (a, b, sq, hx) of the cutoff graph, one row per
+    unordered pair, whose primary measure lies above ``floor``, in key order.
+
+    Every point p looks up p + (s, t) for each offset in a grid padded on each
+    axis by that axis's largest offset component, so no lookup wraps.  A plane
+    cloud, shifted to start at 0, sits inside its padding: no offset meets a
+    point it does not lead to, none is its own inverse, and the half-plane
+    offsets meet each pair once.  A torus tiles its n x n grid into the
+    padding and takes each residue nearest 0.  A pair {p, q} differs by the
+    residues q - p and p - q, and only one of them is an offset; a
+    self-inverse one (2s = 2t = 0 mod n) meets it from both ends, so only the
+    end with nb > idx is kept.
+
+    All rows of one offset share its measure, so the offsets are ranked by
+    measure, equal measures sharing a class, and each row becomes one int64
+    key: class, a, b, offset index, from the high bits down.  One sort of the
+    keys puts the rows in key order; the offset index never decides it (each
+    pair occurs once) and only recovers the row's measures.
     """
     torus = cloud.topology.is_torus
     offs = (_torus_offsets if torus else _plane_offsets)(cloud, sq_cut, hex_cut, floor)
     if not len(offs[0]):
         return None
+    di, dj, off_sq, off_hx = offs
     if torus:
-        coords, period = cloud.coords, (cloud.topology.n,) * 2
-    else:
-        reach = int(np.abs(np.concatenate(offs[:2])).max())
-        coords = cloud.coords - cloud.coords.min(axis=0)
-        period = tuple((coords.max(axis=0) + 1 + 2 * reach).tolist())
-    pi, pj = period
-    ci, cj = np.ascontiguousarray(coords.T)
-    idx = np.arange(cloud.size, dtype=np.int64)
-    grid = np.full(period, -1, dtype=np.int64)
-    grid[ci, cj] = idx
-    pairs = []  # (first ends, second ends) for each offset
-    for s, t in zip(offs[0].tolist(), offs[1].tolist()):
-        nb = grid[(ci + s) % pi, (cj + t) % pj]
-        hit = nb > idx if (2 * s) % pi == 0 and (2 * t) % pj == 0 else nb >= 0
-        pairs.append((idx[hit], nb[hit]))
-    ia = np.concatenate([p[0] for p in pairs])
-    ib = np.concatenate([p[1] for p in pairs])
-    counts = [len(p[0]) for p in pairs]
-    return (
-        np.minimum(ia, ib),
-        np.maximum(ia, ib),
-        np.repeat(offs[2], counts),
-        np.repeat(offs[3], counts),
-    )
-
-
-def _max_sq(cloud: PointCloud) -> float:
-    if cloud.topology.is_torus:
         n = cloud.topology.n
-        return 4.0 * cloud.basis.sq_offset(n, 0) + 4.0 * cloud.basis.sq_offset(0, n)
-    span = cloud.cartesian.max(axis=0) - cloud.cartesian.min(axis=0)
-    return float(span[0] ** 2 + span[1] ** 2) + 1.0
+        di, dj = (np.where(2 * x > n, x - n, x) for x in (di, dj))  # the residue nearest 0
+        extent, coords = np.array([n, n]), cloud.coords
+    else:
+        coords = cloud.coords - cloud.coords.min(axis=0)
+        extent = coords.max(axis=0) + 1
+    reach = np.abs(np.stack((di, dj), axis=1)).max(axis=0)
+    shape = tuple((extent + 2 * reach).tolist())
+    ci, cj = np.ascontiguousarray((coords + reach).T)
+    idx = np.arange(cloud.size, dtype=np.int64)
+    if torus:
+        grid = np.full((n, n), -1, dtype=np.int64)
+        grid[cloud.coords[:, 0], cloud.coords[:, 1]] = idx
+        wrap = [(np.arange(m) - r) % n for m, r in zip(shape, reach.tolist())]
+        grid = grid[np.ix_(*wrap)]
+    else:
+        grid = np.full(shape, -1, dtype=np.int64)
+        grid[ci, cj] = idx
+    grid = grid.ravel()
+    cell = ci * shape[1] + cj
+    k = len(off_sq)
+    c_shift, a_shift, b_shift = _key_shifts(cloud.size, k)
+    measure = np.column_stack((off_hx, off_sq)) if metric.is_hex else off_sq
+    cls = np.unique(measure, axis=0, return_inverse=True)[1].reshape(k)
+    head = ((cls << c_shift) | np.arange(k)).tolist()
+    keys = []
+    for s, t, h in zip(di.tolist(), dj.tolist(), head):
+        nb = grid[cell + (s * shape[1] + t)]
+        hit = nb > idx if torus and (2 * s) % n == 0 and (2 * t) % n == 0 else nb >= 0
+        p, q = idx[hit], nb[hit]
+        keys.append((np.minimum(p, q) << a_shift) | (np.maximum(p, q) << b_shift) | h)
+    key = np.concatenate(keys)
+    key.sort()
+    off = key & ((1 << b_shift) - 1)
+    v_mask = (1 << (a_shift - b_shift)) - 1
+    return (key >> a_shift) & v_mask, (key >> b_shift) & v_mask, off_sq[off], off_hx[off]
+
+
+def _largest_measure(cloud: PointCloud, hex_primary: bool) -> float:
+    """The largest primary measure an offset between two points of the cloud
+    can have: over all residues on a torus; on the plane, over the box of the
+    cloud's coordinate spreads, whose corners hold it (both measures are
+    convex)."""
+    if cloud.topology.is_torus:
+        s, t = np.divmod(np.arange(cloud.topology.n**2), cloud.topology.n)
+    else:
+        p, q = np.ptp(cloud.coords, axis=0).tolist()
+        s, t = np.array([p, p]), np.array([q, -q])
+    if hex_primary:
+        return float(lattice.offset_hex(cloud.topology, s, t).max())
+    # the corner with the larger measure sums the absolute terms of the
+    # quadratic form, so float rounding elsewhere in the box stays far below
+    # this relative margin
+    return float(lattice.offset_sq(cloud.basis, cloud.topology, s, t).max()) * (1 + 1e-9)
 
 
 def _cutoff_bands(cloud: PointCloud, metric: Metric):
     """Candidates of each cutoff band, the cutoff growing fourfold (hex cutoffs
-    twofold) until it exceeds every distance in the cloud."""
+    twofold) until it is at least the largest measure in the cloud."""
     hex_primary = metric.is_hex
-    sq_cut = _seed_cutoff(cloud.basis)
-    hex_cut = 3 if hex_primary else None
+    cut, growth = (3, 2) if hex_primary else (_seed_cutoff(cloud.basis), 4)
     floor = -math.inf
-    sq_max = _max_sq(cloud)
+    top = None  # found only if the first band leaves the tree unfinished
     while True:
-        cand = _lattice_candidates(cloud, metric, sq_cut, hex_cut, floor)
+        cuts = (None, cut) if hex_primary else (cut, None)
+        cand = _lattice_candidates(cloud, metric, *cuts, floor)
         if cand is not None:
             yield cand
-        if hex_primary:
-            if hex_cut > 2 * (cloud.topology.n or 0) + int(math.isqrt(int(sq_max))) + 2:
-                return
-            floor, hex_cut = hex_cut, hex_cut * 2
-        else:
-            if sq_cut > 4 * sq_max:
-                return
-            floor, sq_cut = sq_cut, sq_cut * 4
+        if top is None:
+            top = _largest_measure(cloud, hex_primary)
+        if cut >= top:
+            return
+        floor, cut = cut, cut * growth
 
 
 def _mst_arrays(cloud: PointCloud, metric: Metric) -> tuple:

@@ -1,5 +1,9 @@
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -105,6 +109,57 @@ class TestSweep:
         code, out = run(capsys, "sweep", "--family", "checkerboard", "--values", values)
         assert code == 3
         assert out == ""
+
+
+class TestSweepWorkers:
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+        sizes = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    def test_workers_clamped_to_sweep_values(self, capsys, monkeypatch):
+        _, seq = run(capsys, "sweep", "--family", "quarter", "--values", "4:8:2")
+        self.RecordingPool.sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.RecordingPool)
+        monkeypatch.setenv("MSTRATIO_THREADS", "1000")
+        code, par = run(capsys, "sweep", "--family", "quarter", "--values", "4:8:2")
+        assert code == 0 and par == seq
+        assert self.RecordingPool.sizes == [3]
+
+    def test_single_value_runs_in_process(self, capsys, monkeypatch):
+        self.RecordingPool.sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.RecordingPool)
+        monkeypatch.setenv("MSTRATIO_THREADS", "8")
+        code, _ = run(capsys, "sweep", "--family", "quarter", "--values", "4")
+        assert code == 0 and self.RecordingPool.sizes == []
+
+    @pytest.mark.parametrize("threads", ["two", "2.5", ""])
+    def test_non_integer_threads_exit_two(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("MSTRATIO_THREADS", threads)
+        code = main(["sweep", "--family", "quarter", "--values", "4:8:2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "MSTRATIO_THREADS must be an integer" in captured.err
+
+    def test_import_loads_no_process_pool(self):
+        probe = "import sys, mstratio.cli; print('multiprocessing' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+        assert out.strip() == "False"
 
 
 class TestInvariantViolation:

@@ -97,6 +97,21 @@ class TestColoringLabels:
         with pytest.raises(ValueError, match="arity"):
             Coloring((0, 0), 1)
 
+    def test_caller_array_is_copied_not_frozen(self):
+        labels = np.array([0, 2, 2, 0, 2])
+        coloring = Coloring(labels, 3)
+        labels[0] = 1  # still writable, and the coloring keeps its own copy
+        assert coloring.labels == (0, 2, 2, 0, 2)
+        assert coloring.class_indices(0).tolist() == [0, 3]
+        assert coloring.class_indices(1).tolist() == []
+        assert coloring.counts == (2, 0, 3)
+        assert all(type(x) is int for x in coloring.counts)
+
+    def test_equality_and_hash_follow_labels(self):
+        a, b = Coloring(np.array([1, 0, 1]), 2), Coloring((1, 0, 1), 2)
+        assert a == b and hash(a) == hash(b)
+        assert a != Coloring((1, 0, 1), 3)
+
 
 class TestMultiway:
     def test_two_classes_agree_with_mst_ratio(self):

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from oracles import kruskal
 
 from mstratio import constructions as cons
 from mstratio import spanning
-from mstratio.errors import NotHexagonal, TopologyMismatch
+from mstratio.errors import InvariantViolation, NotHexagonal, TopologyMismatch
 from mstratio.lattice import (
     Basis,
     Metric,
@@ -418,3 +420,60 @@ def test_thin_plane_cloud_tree_matches_oracle(hexagonal):
     metric = Metric.HEX_PLANE if hexagonal else Metric.EUCLIDEAN_PLANE
     tree = mst(cloud, metric)
     assert [(e.a, e.b, e.sq_len, e.hex_len) for e in tree.edges] == kruskal(cloud, metric)
+
+
+# -- key order of cutoff-band candidates ------------------------------------------
+
+SKEWED = Basis((1.0, 0.0), (30.001, 0.01))  # reduced: (0.001, 0.01), (0.99, -0.1)
+KEY_BASES = {"hex": hexagonal_basis(), "square": square_basis(),
+             "non-reduced": NON_REDUCED, "skewed": SKEWED}
+
+
+def _brute_band_rows(cloud, sq_cut, hex_cut, floor):
+    """Every pair a < b whose measure lies in the band, in (a, b) order."""
+    ia, ib = np.triu_indices(cloud.size, k=1)
+    sq = pair_sq(cloud, Metric.euclidean(cloud.topology), ia, ib)
+    hx = pair_hex(cloud, Metric.hexagonal(cloud.topology), ia, ib)
+    if hex_cut is not None:
+        keep = (hx <= hex_cut) & (hx > floor)
+    else:
+        keep = (sq <= sq_cut + 1e-9) & (sq > floor + 1e-9)
+    return list(zip(*(x[keep].tolist() for x in (ia, ib, sq, hx))))
+
+
+@given(
+    basis_name=st.sampled_from(sorted(KEY_BASES)),
+    torus=st.booleans(),
+    n=st.integers(3, 14),
+    keep=st.floats(0.3, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    hexagonal=st.booleans(),
+    band=st.integers(0, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_cutoff_candidates_come_in_key_order(basis_name, torus, n, keep, seed, hexagonal, band):
+    basis = KEY_BASES[basis_name]
+    cloud = generate_rhombus(basis, n, Topology.torus(n) if torus else None)
+    cloud = cloud.subset(np.flatnonzero(np.random.default_rng(seed).random(cloud.size) < keep))
+    assume(cloud.size >= 2)
+    metric = Metric.hexagonal(cloud.topology) if hexagonal else Metric.euclidean(cloud.topology)
+    first, growth = (3, 2) if hexagonal else (spanning._seed_cutoff(basis), 4)
+    cut = first * growth**band
+    floor = cut / growth if band else -math.inf
+    cuts = (None, cut) if hexagonal else (cut, None)
+    rows = _candidate_rows(cloud, metric, *cuts, floor)
+    if hexagonal:
+        expect = sorted(rows, key=lambda r: (r[3], r[2], r[0], r[1]))
+    else:
+        expect = sorted(rows, key=lambda r: (r[2], r[0], r[1]))
+    assert rows == expect
+    assert sorted(rows) == _brute_band_rows(cloud, *cuts, floor)
+
+
+def test_candidate_key_width_guard():
+    # class, a, b and offset index in 2 * 17 + 2 * 9 = 52 bits
+    assert spanning._key_shifts(128_783, 400) == (43, 26, 9)
+    assert spanning._key_shifts(2**24, 2**7) == (55, 31, 7)  # 62 bits
+    for points, offsets in ((2**24 + 1, 2**7), (2**24, 2**7 + 1), (2**30, 400)):
+        with pytest.raises(InvariantViolation, match="63 bits"):
+            spanning._key_shifts(points, offsets)

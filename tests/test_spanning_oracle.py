@@ -201,3 +201,46 @@ def test_labels_follow_smallest_vertex_not_boruvka_root():
     assert root[0] == 5 and root[1] == 1
     assert spanning.label_components(7, a, b).tolist() == [0, 1, 1, 2, 3, 0, 0]
     assert spanning.label_components(0, [], []).tolist() == []
+
+
+def collapsed_cloud(skew: int, dx: float, dy: float, rows: int, torus: bool, pad: int, drop: int):
+    """Points (-skew·k + r, k), r < rows, of the skewed basis u = (1, 0),
+    v = (skew + dx, dy): far apart in lattice coordinates, much closer in
+    the plane.  On the torus of period (points per row) + pad they stay
+    distinct.  The last ``drop`` points are left out."""
+    count = -(-(spanning._FULL_PAIR_LIMIT + 30) // rows)
+    coords = [(-skew * k + r, k) for k in range(count) for r in range(rows)]
+    topology = Topology.torus(count + pad) if torus else Topology.plane()
+    return lattice_cloud(Basis((1.0, 0.0), (skew + dx, dy)), topology, coords[: len(coords) - drop])
+
+
+@given(
+    skew=st.integers(2, 40),
+    dx=st.sampled_from([0.0, 0.001, 0.25]),
+    dy=st.floats(0.005, 0.5),
+    rows=st.integers(2, 3),
+    torus=st.booleans(),
+    pad=st.integers(0, 20),
+    drop=st.integers(0, 10),
+    hex_metric=st.booleans(),
+)
+@settings(max_examples=8, deadline=None)
+def test_cutoff_path_on_skewed_bases_matches_oracle(skew, dx, dy, rows, torus, pad, drop, hex_metric):
+    # hex lengths here are coefficient lengths, which the Euclidean spread of
+    # the cloud does not bound, so cutoff growth must run on coordinates
+    cloud = collapsed_cloud(skew, dx, dy, rows, torus, pad, drop)
+    assert cloud.size > spanning._FULL_PAIR_LIMIT
+    metric = Metric.hexagonal(cloud.topology) if hex_metric else Metric.euclidean(cloud.topology)
+    tree = mst(cloud, metric)
+    assert [(e.a, e.b, e.sq_len, e.hex_len) for e in tree.edges] == kruskal(cloud, metric)
+
+
+def test_skewed_plane_hex_tree_of_450_points():
+    # 225 rows of two points: the rows pair up at hex length 1, and
+    # neighbouring rows join at hex length 29 through Euclidean length ~1.001
+    coords = [(-30 * k + r, k) for k in range(225) for r in (0, 1)]
+    cloud = lattice_cloud(Basis((1.0, 0.0), (30.001, 0.01)), Topology.plane(), coords)
+    tree = mst(cloud, Metric.HEX_PLANE)
+    assert [(e.a, e.b, e.sq_len, e.hex_len) for e in tree.edges] == kruskal(cloud, Metric.HEX_PLANE)
+    assert tree.edge_count == 449
+    assert tree.total_length == pytest.approx(449.235189, abs=1e-6)
