@@ -7,9 +7,11 @@ two-triangle configuration, the near-collapse family, and the three-way split.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from .errors import (
     DegenerateSublattice,
     EmptyCloud,
     InvariantViolation,
+    MstRatioError,
     RegionTooSmall,
     TopologyMismatch,
     ZeroDenominator,
@@ -424,14 +427,17 @@ class Construction:
     closed_form: float | None = None
 
 
-def _build_fig8(params: dict) -> Construction:
+# Each builder's keyword parameters, with their defaults, are the parameters
+# its construction takes.
+
+
+def _build_fig8() -> Construction:
     cloud, coloring = fig8()
     return Construction("fig8", {}, cloud, coloring, Metric.EUCLIDEAN_PLANE, 122.0 / 99.0)
 
 
-def _build_packing(params: dict) -> Construction:
-    family = params.get("family", "quarter")
-    n = int(params.get("n", 84))
+def _build_packing(family="quarter", n=84) -> Construction:
+    n = int(n)
     cloud, coloring = packing(family, n)
     return Construction(
         f"packing:{family}",
@@ -443,8 +449,8 @@ def _build_packing(params: dict) -> Construction:
     )
 
 
-def _build_stretched(params: dict) -> Construction:
-    r = float(params.get("r", 50))
+def _build_stretched(r=50) -> Construction:
+    r = float(r)
     cloud, coloring = stretched_hex(r)
     return Construction(
         "stretched", {"r": r}, cloud, coloring, Metric.EUCLIDEAN_PLANE,
@@ -452,8 +458,8 @@ def _build_stretched(params: dict) -> Construction:
     )
 
 
-def _build_checkerboard(params: dict) -> Construction:
-    n = int(params.get("n", 50))
+def _build_checkerboard(n=50) -> Construction:
+    n = int(n)
     cloud, coloring = integer_checkerboard(n)
     return Construction(
         "checkerboard", {"n": n}, cloud, coloring, Metric.EUCLIDEAN_PLANE,
@@ -461,23 +467,22 @@ def _build_checkerboard(params: dict) -> Construction:
     )
 
 
-def _build_seven(params: dict) -> Construction:
-    eps = float(params.get("eps", 1e-6))
+def _build_seven(eps=1e-6) -> Construction:
+    eps = float(eps)
     cloud, coloring = seven_points(eps)
     return Construction("seven", {"eps": eps}, cloud, coloring, Metric.EUCLIDEAN_PLANE)
 
 
-def _build_collapse(params: dict) -> Construction:
-    n = int(params.get("n", 10))
-    eps = float(params.get("eps", 1e-4))
+def _build_collapse(n=10, eps=1e-4) -> Construction:
+    n, eps = int(n), float(eps)
     cloud, coloring = near_collapse(n, eps)
     return Construction(
         "collapse", {"n": n, "eps": eps}, cloud, coloring, Metric.EUCLIDEAN_PLANE
     )
 
 
-def _build_threeway(params: dict) -> Construction:
-    n = int(params.get("n", 60))
+def _build_threeway(n=60) -> Construction:
+    n = int(n)
     cloud, coloring = threeway(n)
     return Construction(
         "threeway", {"n": n}, cloud, coloring, Metric.EUCLIDEAN_TORUS,
@@ -488,10 +493,7 @@ def _build_threeway(params: dict) -> Construction:
 REGISTRY = {
     "fig8": _build_fig8,
     "packing": _build_packing,
-    "third": lambda p: _build_packing({**p, "family": "third"}),
-    "quarter": lambda p: _build_packing({**p, "family": "quarter"}),
-    "seventh": lambda p: _build_packing({**p, "family": "seventh"}),
-    "ninth": lambda p: _build_packing({**p, "family": "ninth"}),
+    **{f: partial(_build_packing, f) for f in ("third", "quarter", "seventh", "ninth")},
     "stretched": _build_stretched,
     "checkerboard": _build_checkerboard,
     "seven": _build_seven,
@@ -510,7 +512,8 @@ def _coerce(value: str):
 def build_construction(descriptor: str, **overrides) -> Construction:
     """Build a registry construction from e.g. "stretched:r=200" or "packing:ninth:n=60".
 
-    Keyword overrides (n=..., r=..., eps=..., family=...) win over inline parts.
+    Keyword overrides (n=..., r=..., eps=..., family=...) win over inline parts;
+    a parameter the construction does not take raises MstRatioError.
     """
     parts = descriptor.split(":")
     base = parts[0]
@@ -531,4 +534,8 @@ def build_construction(descriptor: str, **overrides) -> Construction:
     for k, v in overrides.items():
         if v is not None:
             params[k] = v
-    return REGISTRY[base](params)
+    builder = REGISTRY[base]
+    extra = sorted(set(params) - set(inspect.signature(builder).parameters))
+    if extra:
+        raise MstRatioError(f"construction {base!r} takes no parameter {', '.join(extra)}")
+    return builder(**params)

@@ -4,14 +4,20 @@ The landscape of the coloring problem is rugged but shallow, so the module
 offers an exact enumerator for small clouds (complement symmetry halves the
 space), a seeded simulated-annealing hill climber, and the incremental ratio
 maintenance it relies on: the denominator never changes and a single flip only
-touches two class trees.  All of them measure classes with one evaluator,
-`class_lengths`, a forest Prim batched over label rows; the annealer also
-remembers every subset it has measured.
+touches two class trees.
+
+Two exact evaluators measure classes, chosen by the shape of the input.
+Batches of label rows (the exhaustive and sampled searches, the local-maximum
+check) go to `class_lengths`, a forest Prim batched over the rows.  A single
+class that the annealer's memo lacks, on a cloud of at most `_LIST_PRIM_LIMIT`
+points, goes to `_tree_length`, a Prim over Python lists: on one row the numpy
+forest Prim spends most of its time in per-call overhead.  The memo maps a
+class's membership bitmask (a Python int, bit p for point p) to its length.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +27,7 @@ from .errors import InvariantViolation, MstRatioError, StaleCache, TooLarge
 from .lattice import Metric, PointCloud
 
 _DENSE_LIMIT = 1500  # cache a dense distance matrix up to this many points
+_LIST_PRIM_LIMIT = 400  # one class up to this many points is measured by `_tree_length`
 _BATCH = 256  # label rows per evaluator call in the exhaustive and sampled searches
 _TIE = 1e-12  # ratios this close to the best count as tied
 _CELLS = 1 << 21  # bound on the (rows, V, V) masked distances of one evaluator pass
@@ -59,6 +66,42 @@ def class_lengths(d: np.ndarray, rows: np.ndarray, arity: int) -> np.ndarray:
     return np.array([[math.fsum(w) for w in per_class] for per_class in weights]).T
 
 
+def _tree_length(dense_rows: list[list[float]], members: list[int]) -> float:
+    """Exact MST length of the points `members` (ascending) under the distance
+    rows `dense_rows`, by a Prim over Python lists.
+
+    The tree grows from the first member, and the first of equal keys joins
+    next, as in `class_lengths`; the `math.fsum` of the weights is exact and
+    equals that evaluator's bit for bit.
+    """
+    if not members:
+        return 0.0
+    row = dense_rows[members[0]]
+    out = members[1:]  # points not yet in the tree, ascending
+    keys = [row[q] for q in out]
+    weights = []
+    for _ in range(len(members) - 1):  # a tree on k points has k - 1 edges
+        weight = min(keys)
+        i = keys.index(weight)
+        weights.append(weight)
+        del keys[i]
+        row = dense_rows[out.pop(i)]
+        keys = [k if k <= row[q] else row[q] for k, q in zip(keys, out)]
+    return math.fsum(weights)
+
+
+def _members(mask: int) -> list[int]:
+    """The points whose bits are set in `mask`, ascending."""
+    return [p for p, bit in enumerate(f"{mask:b}"[::-1]) if bit == "1"]
+
+
+def _class_masks(rows, arity: int) -> list[list[int]]:
+    """Membership bitmask of every class of every label row."""
+    members = np.asarray(rows)[:, None, :] == np.arange(arity)[:, None]
+    packed = np.packbits(members, axis=-1, bitorder="little")
+    return [[int.from_bytes(m.tobytes(), "little") for m in row] for row in packed]
+
+
 @dataclass
 class RatioCache:
     """Class tree lengths for one coloring; the denominator is fixed."""
@@ -69,48 +112,67 @@ class RatioCache:
     class_lengths: list[float]
     len_total: float
     dense: np.ndarray | None  # distance matrix when the cloud is small enough
-    # class membership mask bytes -> tree length, shared by the caches of one search
-    memo: dict[bytes, float] = field(default_factory=dict, repr=False, compare=False)
+    # `dense` as lists for `_tree_length`, up to `_LIST_PRIM_LIMIT` points
+    dense_rows: list[list[float]] | None = field(default=None, repr=False)
+    # class membership bitmask -> tree length, shared by the caches of one search
+    memo: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ratio(self) -> float:
         return math.fsum(self.class_lengths) / self.len_total
 
 
+def _mask_length(cloud: PointCloud, cache: RatioCache, mask: int) -> float:
+    """Tree length of the class with membership bitmask `mask`, measured once:
+    by `_tree_length` up to `_LIST_PRIM_LIMIT` points, by `class_lengths` on
+    the class's distances up to `_DENSE_LIMIT`, by one spanning tree above."""
+    length = cache.memo.get(mask)
+    if length is None:
+        members = _members(mask)
+        if cache.dense_rows is not None:
+            length = _tree_length(cache.dense_rows, members)
+        elif cache.dense is None:
+            length = spanning.mst(cloud.subset(members), cache.metric).total_length
+        elif members:
+            sub = cache.dense[np.ix_(members, members)]
+            length = float(class_lengths(sub, np.zeros((1, len(members)), dtype=np.intp), 1)[0, 0])
+        else:
+            length = 0.0
+        cache.memo[mask] = length
+    return length
+
+
 def _lengths(cloud: PointCloud, cache: RatioCache, rows: np.ndarray) -> list[list[float]]:
-    """Class lengths of label rows; only subsets the memo lacks are evaluated."""
-    members = rows[:, None, :] == np.arange(cache.arity)[:, None]
-    keys = [[m.tobytes() for m in row] for row in members]
-    missing = [i for i, row in enumerate(keys) if not all(k in cache.memo for k in row)]
-    if missing and cache.dense is not None:
+    """Class lengths of label rows; only subsets the memo lacks are evaluated,
+    in one `class_lengths` batch when more than one row has some."""
+    masks = _class_masks(rows, cache.arity)
+    missing = [i for i, row in enumerate(masks) if not all(m in cache.memo for m in row)]
+    if len(missing) > 1 and cache.dense is not None:
         fresh = class_lengths(cache.dense, rows[missing], cache.arity).tolist()
         for i, lengths in zip(missing, fresh):
-            cache.memo.update(zip(keys[i], lengths))
-    elif missing:  # above the dense limit: one spanning tree per class
-        for i in missing:
-            for key, m in zip(keys[i], members[i]):
-                sub = cloud.subset(np.flatnonzero(m))
-                cache.memo[key] = spanning.mst(sub, cache.metric).total_length
-    return [[cache.memo[k] for k in row] for row in keys]
+            cache.memo.update(zip(masks[i], lengths))
+    return [[_mask_length(cloud, cache, m) for m in row] for row in masks]
 
 
 def build_cache(cloud: PointCloud, coloring: Coloring, metric: Metric) -> RatioCache:
     dense = lattice.distance_matrix(cloud, metric) if cloud.size <= _DENSE_LIMIT else None
-    cache = RatioCache(coloring.labels, coloring.arity, metric, [], math.nan, dense)
-    row = np.asarray([coloring.labels])
-    cache.len_total = _lengths(cloud, cache, np.zeros_like(row))[0][0]
-    cache.class_lengths = _lengths(cloud, cache, row)[0]
-    return cache
+    rows = dense.tolist() if dense is not None and cloud.size <= _LIST_PRIM_LIMIT else None
+    cache = RatioCache(coloring.labels, coloring.arity, metric, [], math.nan, dense, rows)
+    cache.len_total = _mask_length(cloud, cache, (1 << cloud.size) - 1)
+    return _recolor(cloud, cache, coloring.labels)
+
+
+def _recolor(cloud: PointCloud, cache: RatioCache, labels: tuple[int, ...]) -> RatioCache:
+    """The cache of another coloring of the same cloud, sharing the memo."""
+    lengths = [_mask_length(cloud, cache, m) for m in _class_masks([labels], cache.arity)[0]]
+    return replace(cache, labels=labels, class_lengths=lengths)
 
 
 def _flip(cloud: PointCloud, cache: RatioCache, flip: int) -> RatioCache:
     """The cache of the coloring with one label flipped, sharing the memo."""
-    row = np.array([cache.labels])
-    row[0, flip] = 1 - row[0, flip]
-    return RatioCache(
-        tuple(row[0].tolist()), cache.arity, cache.metric,
-        _lengths(cloud, cache, row)[0], cache.len_total, cache.dense, cache.memo,
-    )
+    labels = list(cache.labels)
+    labels[flip] = 1 - labels[flip]
+    return _recolor(cloud, cache, tuple(labels))
 
 
 def incremental_ratio(
@@ -240,14 +302,19 @@ def local_search(
     rng = np.random.Generator(np.random.Philox(seed))
     v = cloud.size
     cache = build_cache(cloud, init, metric)
-    coloring = init
+    full = (1 << v) - 1
+    blue = _class_masks([init.labels], 2)[0][0]  # the class-0 bitmask of the walk
     current = cache.ratio
-    best_cache = cache
+    best_blue = blue
     best = current
     steps: list[tuple[int, float]] = []
     for k in range(budget):
         flip = int(rng.integers(v))
-        cand = incremental_ratio(cloud, coloring, cache, flip)
+        cand_blue = blue ^ (1 << flip)
+        # `+` of two floats rounds like the `math.fsum` of `RatioCache.ratio`
+        cand = (
+            _mask_length(cloud, cache, cand_blue) + _mask_length(cloud, cache, full ^ cand_blue)
+        ) / cache.len_total
         delta = cand - current
         temp = t0 * alpha**k
         if delta > 0:
@@ -257,16 +324,16 @@ def local_search(
         else:
             accept = False
         if accept:
-            cache = _flip(cloud, cache, flip)
-            coloring = Coloring(cache.labels, 2)
+            blue = cand_blue
             current = cand
             steps.append((flip, current))
             if current > best:
                 best = current
-                best_cache = cache
-    flips = np.asarray(best_cache.labels) ^ np.eye(v, dtype=np.int64)  # row p flips point p
+                best_blue = blue
+    labels = tuple(1 - (best_blue >> p & 1) for p in range(v))
+    flips = np.asarray(labels) ^ np.eye(v, dtype=np.int64)  # row p flips point p
     flag = all(
-        math.fsum(lengths) / best_cache.len_total <= best + _TIE
-        for lengths in _lengths(cloud, best_cache, flips)
+        math.fsum(lengths) / cache.len_total <= best + _TIE
+        for lengths in _lengths(cloud, cache, flips)
     )
-    return SearchTrace(seed, tuple(steps), Coloring(best_cache.labels, 2), best, flag)
+    return SearchTrace(seed, tuple(steps), Coloring(labels, 2), best, flag)

@@ -27,7 +27,7 @@ Ranking is a stable sort by measure alone, because every band's rows arrive
 in (a, b) order within each measure: prefix bands come from
 ``np.triu_indices`` and boolean masks keep that order, and a cutoff band is
 emitted in key order by one sort of int64 keys that pack (measure class, a,
-b), so ranking it is one linear pass.
+b), so it is not ranked again.
 
 Trees are stored as arrays in key order; ``edges`` builds ``Edge`` objects on
 demand.
@@ -182,12 +182,13 @@ def _boruvka(n_points: int, a: np.ndarray, b: np.ndarray, root: np.ndarray):
     return chosen.nonzero()[0], root
 
 
-def _grow(n_points: int, bands, hex_primary: bool) -> tuple:
+def _grow(n_points: int, bands, hex_primary: bool, ranked: bool = False) -> tuple:
     """Tree edges (a, b, sq, hx) in key order, grown over bands of candidates
     that are consecutive key ranges.
 
     Each band keeps only the pairs that join two components of the forest so
-    far, and only those are ranked.
+    far, and only those are ranked, unless the bands arrive ``ranked`` (in key
+    order, as cutoff bands do; the filter keeps that order).
     """
     root = np.arange(n_points)
     forest = []  # tree edges of each band, each in key order
@@ -195,7 +196,8 @@ def _grow(n_points: int, bands, hex_primary: bool) -> tuple:
     for band in bands:
         if found:
             band = _select(band, root[band[0]] != root[band[1]])
-        band = _rank(*band, hex_primary)
+        if not ranked:
+            band = _rank(*band, hex_primary)
         pos, root = _boruvka(n_points, band[0], band[1], root)
         forest.append(_select(band, pos))
         found += len(pos)
@@ -430,9 +432,8 @@ def _mst_arrays(cloud: PointCloud, metric: Metric) -> tuple:
     """Tree edges (a, b, sq, hx) in key order."""
     if cloud.coords is None or cloud.size <= _FULL_PAIR_LIMIT:
         bands = _prefix_bands(cloud.size, *_full_pair_arrays(cloud, metric), metric.is_hex)
-    else:
-        bands = _cutoff_bands(cloud, metric)
-    return _grow(cloud.size, bands, metric.is_hex)
+        return _grow(cloud.size, bands, metric.is_hex)
+    return _grow(cloud.size, _cutoff_bands(cloud, metric), metric.is_hex, ranked=True)
 
 
 def mst(cloud: PointCloud, metric: Metric) -> SpanningTree:

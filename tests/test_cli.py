@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import math
 import os
@@ -48,6 +49,18 @@ class TestRatio:
     def test_unknown_construction_exits_three(self, capsys):
         code, _ = run(capsys, "ratio", "--construction", "nonesuch")
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("--construction", "fig8", "--n", "8"),
+        ("--construction", "packing:quarter", "--torus", "8", "--r", "3"),
+        ("--construction", "stretched:r=20:n=3"),
+    ])
+    def test_parameter_not_taken_exits_three(self, capsys, argv):
+        code = main(["ratio", *argv])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert not captured.out
+        assert "takes no parameter" in captured.err
 
     def test_torus_zero_rejected_like_n_zero(self, capsys):
         results = []
@@ -200,6 +213,22 @@ class TestBrute:
         assert doc["ratio"] == pytest.approx(2 * math.sqrt(2) / 3, abs=1e-9)
 
 
+#: sha256 of the stdout and the trace CSV of the default 10,000-step anneal on
+#: the 6-torus, recorded before single classes were measured by the list Prim
+ANNEAL_DIGESTS = [
+    (1, "974eb5fd7eb6d1aab661610fdf781cf8fe13c89ea356ee1e8d9093fd7c1c9a1e", "623508f397cc757903adf3b02096cf2ffee6a43e385f2db17d1f8ccc949037a1"),
+    (2, "86d9ba5842a19933990dc5b5b1fccc3eed1f97a55c6bfd1c7450362a1b745b35", "df5a7c3a061958555f73a7efd6d9b7580d90b0e4b35755e470645f87d45fdfdf"),
+    (3, "5118427f4061145bc25adf6fc93685490173b2a161bf54d4c489d7d4efbb7644", "dbdaaed6a727da74c29082dad060b493b4e6e7af19ca843a32fbee15ea258330"),
+    (4, "606c25c7aab814ee39b362797d82ac789b0f2aebfac2fef28adf9ec8b91b1841", "e5b1ee319ae5aa527f599eff2c6bcce584223b5afc8381ddd4e57d853ce80e0d"),
+    (5, "9a73f60062f786d64e43c8f18e78786d9b6b96b4b140885bcd460bed71a543db", "d8e66ff4782a8757099319406055802c985f13bee0030b12f10aa02cf7e148a9"),
+    (6, "da7436c08c41868a69c93045a31caa942477d98b8e20f9c76f2daa0d94f39236", "2fbc53ea5c01fd0c16bca476217056d694e40c368012bb5f3d469796a6bcf952"),
+    (7, "36ee0ddf0cbf2ce0346f9f8b6440a5a30eafd04e4896cde6924caa5f19518d62", "288a957bb8efac178128623da8aa2dbf92775dcb79074b434e53a455b3ce6312"),
+    (8, "b12dfb5f6455f6bf500da1e6bf7c970c9ae5b4c0bfa87c67101ba2c7a43cb2d1", "b1a501f1ea95e92ce9f82226d3a2fa8695ebef37629769bf764e309c75028e95"),
+    (9, "b2620864ecea68a00730784bd1fec0ba44a898414e7c9f2bfcb96e94e2d8c035", "b7efdd7722b47d207d4d78f800097176b40d98bf21f5f29fd4d2f0676298a7bf"),
+    (10, "71af39e901733e4ec1cc2aaf3d644056d0f7ad34f1f7fc797e3bd63c9e37299b", "e6f852a7f63467882334ea8133ebcf04d78732d861851bd3b2e0e2cbee9fb395"),
+]
+
+
 class TestAnneal:
     def test_seeded_run_reproducible(self, capsys, tmp_path):
         trace1 = tmp_path / "a.csv"
@@ -220,6 +249,15 @@ class TestAnneal:
         code, out3 = run(capsys, "ratio", "--in", str(best))
         assert code == 0
         assert json.loads(out3)["ratio"] == pytest.approx(doc["best_ratio"], abs=1e-9)
+
+    @pytest.mark.parametrize("seed,out_digest,trace_digest", ANNEAL_DIGESTS)
+    def test_torus6_outputs_pinned(self, capsys, tmp_path, seed, out_digest, trace_digest):
+        trace = tmp_path / "trace.csv"
+        code, out = run(capsys, "anneal", "--construction", "packing:quarter", "--torus", "6",
+                        "--seed", str(seed), "--trace", str(trace))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_nonpositive_budget_rejected(self, capsys, budget):

@@ -19,6 +19,7 @@ from mstratio.errors import (
     DegenerateSublattice,
     DuplicatePoints,
     EmptyCloud,
+    MstRatioError,
     RegionTooSmall,
     TopologyMismatch,
     ZeroDenominator,
@@ -339,3 +340,11 @@ class TestRegistry:
         assert build_construction("quarter", n=10).closed_form == pytest.approx(
             cons.quarter_torus_ratio(10)
         )
+
+
+@pytest.mark.parametrize("name", sorted(cons.REGISTRY))
+def test_every_base_rejects_a_parameter_it_does_not_take(name):
+    with pytest.raises(MstRatioError, match="takes no parameter bogus"):
+        build_construction(f"{name}:bogus=1")
+    with pytest.raises(MstRatioError, match="takes no parameter bogus"):
+        build_construction(name, bogus=1.0)

@@ -354,3 +354,75 @@ def test_search_outputs_are_pinned():
     coloring, best = search.sampled_max(cloud, metric, samples=20000, seed=9)
     digest = hashlib.sha256(repr((coloring.labels, best)).encode()).hexdigest()
     assert digest == SAMPLED_MAX_SHA256
+
+
+# -- the list Prim for single classes ------------------------------------------
+
+
+def assert_tree_length_matches(cloud, metric, seed):
+    """`_tree_length` equals `class_lengths` bit for bit and the oracle, on the
+    classes of uneven label rows (one of them empty, one a singleton) and on
+    two-point classes."""
+    d = distance_matrix(cloud, metric)
+    dense_rows = d.tolist()
+    rows = label_rows(cloud.size, 3, seed)
+    batched = search.class_lengths(d, rows, 3)
+    classes = [(np.flatnonzero(row == c).tolist(), lengths[c])
+               for row, lengths in zip(rows, batched) for c in range(3)]
+    assert any(not members for members, _ in classes)
+    assert any(len(members) == 1 for members, _ in classes)
+    pair = np.zeros((1, cloud.size), dtype=np.intp)
+    pair[0, [0, -1]] = 1
+    classes.append(([0, cloud.size - 1], search.class_lengths(d, pair, 2)[0, 1]))
+    for members, expected in classes:
+        got = search._tree_length(dense_rows, members)
+        assert got == expected
+        assert got == oracle_length(cloud, metric, members)
+
+
+@given(
+    basis_name=st.sampled_from(["hex", "square"]),
+    torus=st.booleans(),
+    n=st.integers(2, 6),
+    keep=st.floats(0.3, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    hex_metric=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_tree_length_matches_forest_prim_on_lattices(basis_name, torus, n, keep, seed, hex_metric):
+    cloud, metric = lattice_case(basis_name, torus, n, keep, seed, hex_metric)
+    if cloud.size >= 2:
+        assert_tree_length_matches(cloud, metric, seed)
+
+
+@given(
+    points=st.lists(
+        st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=2, max_size=25, unique=True
+    ),
+    scale=st.sampled_from([1.0, 0.5, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_tree_length_matches_forest_prim_on_cartesian_clouds(points, scale, seed):
+    cloud = cloud_from_cartesian(np.array(points, dtype=float) * scale)
+    assert_tree_length_matches(cloud, Metric.EUCLIDEAN_PLANE, seed)
+
+
+def test_tree_length_sums_exactly():
+    # ten edges of 0.1 on a path: a plain float sum gives 0.9999999999999999
+    d = np.abs(np.subtract.outer(np.arange(11), np.arange(11))) * 0.1
+    whole = search.class_lengths(d, np.zeros((1, 11), dtype=np.intp), 1)[0, 0]
+    assert search._tree_length(d.tolist(), list(range(11))) == whole == 1.0
+
+
+def test_forest_path_matches_list_path(monkeypatch):
+    # with the list limit at 0 every single class goes through class_lengths
+    cloud = torus6()
+    metric = Metric.EUCLIDEAN_TORUS
+    init = Coloring(tuple([0, 1] * 18), 2)
+    assert search.build_cache(cloud, init, metric).dense_rows is not None
+    listed = search.local_search(cloud, metric, init, 42, 200)
+    monkeypatch.setattr(search, "_LIST_PRIM_LIMIT", 0)
+    assert search.build_cache(cloud, init, metric).dense_rows is None
+    forest = search.local_search(cloud, metric, init, 42, 200)
+    assert forest == listed
