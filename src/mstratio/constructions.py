@@ -525,8 +525,8 @@ def build_construction(descriptor: str, **overrides) -> Construction:
             if not piece:
                 continue
             if "=" in piece:
-                k, v = piece.split("=", 1)
-                params[k.strip()] = _coerce(v.strip())
+                k, v = (x.strip() for x in piece.split("=", 1))
+                params[k] = v if k == "family" else _coerce(v)  # a family is a name
             elif base == "packing" and piece in PACKING_FAMILIES:
                 params["family"] = piece
             else:

@@ -12,10 +12,12 @@ fed bands of candidates, each continuing a prefix of the order:
   smallest of the rest, and so on, found by partitioning, not sorting.
 * Large lattice clouds enumerate only offsets below a distance cutoff, which
   meet each unordered pair once (on a torus, one residue of each inverse
-  pair (s, t), (-s, -t) mod n is an offset); a band is the pairs between the
-  previous cutoff and the next, and the cutoff is grown until the tree spans,
-  which it does at the latest once the cutoff reaches the largest measure an
-  offset of the cloud can have.
+  pair (s, t), (-s, -t) mod n is an offset; the residues are measured once
+  per tree).  A round takes the pairs between the previous cutoff and the
+  next, one band per measure class, and the cutoff is grown until the tree
+  spans, which it does at the latest once the cutoff reaches the largest
+  measure an offset of the cloud can have.  Bands are generated lazily, so
+  no class after the one that completes the tree is looked up.
 
 By the Kruskal prefix property the forest grown from a prefix is part of the
 final tree, so each band starts from the components of the forest so far and
@@ -25,9 +27,9 @@ key order.  Component labels come from the same kernel.
 
 Ranking is a stable sort by measure alone, because every band's rows arrive
 in (a, b) order within each measure: prefix bands come from
-``np.triu_indices`` and boolean masks keep that order, and a cutoff band is
-emitted in key order by one sort of int64 keys that pack (measure class, a,
-b), so it is not ranked again.
+``np.triu_indices`` and boolean masks keep that order, and a cutoff band, one
+measure class, is emitted in key order by one sort of int64 keys that pack
+(measure class, a, b), so it is not ranked again.
 
 Trees are stored as arrays in key order; ``edges`` builds ``Edge`` objects on
 demand.
@@ -151,6 +153,8 @@ def _boruvka(n_points: int, a: np.ndarray, b: np.ndarray, root: np.ndarray):
     root.  Returns the positions of the chosen edges in rank order and the
     new ``root``.
     """
+    if not len(a):  # no edge, as in a class band whose pairs all lie in one component
+        return a, root
     pos = np.arange(len(a))
     ra, rb = root[a], root[b]
     chosen = np.zeros(len(a), dtype=bool)
@@ -256,17 +260,19 @@ def _seed_cutoff(basis: lattice.Basis) -> float:
     return 9.5 * basis.reduced().sq_offset(1, 0)
 
 
-def _in_band(cloud: PointCloud, di, dj, sq_cut: float, hex_cut: int | None, floor) -> tuple:
-    """The offsets (di, dj, sq, hx) whose primary measure is at most the cutoff
-    and above ``floor``, the cutoff of the previous round (-inf in the first
-    round), and the mask that picked them."""
+def _measured(cloud: PointCloud, di, dj) -> tuple:
+    """The offsets with their measures: (di, dj, sq, hx)."""
     sq = lattice.offset_sq(cloud.basis, cloud.topology, di, dj)
-    hx = lattice.offset_hex(cloud.topology, di, dj)
+    return di, dj, sq, lattice.offset_hex(cloud.topology, di, dj)
+
+
+def _in_band(offs: tuple, sq_cut: float, hex_cut: int | None, floor) -> np.ndarray:
+    """Which of the measured offsets (di, dj, sq, hx) have primary measure at
+    most the cutoff and above ``floor``, the cutoff of the previous round
+    (-inf in the first round)."""
     if hex_cut is not None:
-        keep = (hx <= hex_cut) & (hx > floor)
-    else:
-        keep = (sq <= sq_cut + 1e-9) & (sq > floor + 1e-9)
-    return keep, (di, dj, sq, hx)
+        return (offs[3] <= hex_cut) & (offs[3] > floor)
+    return (offs[2] <= sq_cut + 1e-9) & (offs[2] > floor + 1e-9)
 
 
 def _plane_offsets(cloud: PointCloud, sq_cut: float, hex_cut: int | None, floor):
@@ -292,23 +298,28 @@ def _plane_offsets(cloud: PointCloud, sq_cut: float, hex_cut: int | None, floor)
     spread = np.ptp(cloud.coords, axis=0)
     half = (dj > 0) | ((dj == 0) & (di > 0))
     keep = half & (np.abs(di) <= spread[0]) & (np.abs(dj) <= spread[1])
-    keep_band, offs = _in_band(cloud, di[keep], dj[keep], sq_cut, hex_cut, floor)
-    return _select(offs, keep_band)
+    offs = _measured(cloud, di[keep], dj[keep])
+    return _select(offs, _in_band(offs, sq_cut, hex_cut, floor))
 
 
-def _torus_offsets(cloud: PointCloud, sq_cut: float, hex_cut: int | None, floor):
-    """Nonzero residues (s, t) mod n with measure in the cutoff band, one of each
-    inverse pair {(s, t), (-s, -t)}: the first in (s, t) order that passes."""
+def _residues(cloud: PointCloud) -> tuple | None:
+    """Every residue (s, t) mod n of a torus cloud, in (s, t) order, with its
+    measures: (s, t, sq, hx); None for a plane cloud."""
+    if not cloud.topology.is_torus:
+        return None
     n = cloud.topology.n
-    rng = np.arange(n)
-    s, t = np.meshgrid(rng, rng, indexing="ij")
-    s = s.ravel()
-    t = t.ravel()
-    keep, offs = _in_band(cloud, s, t, sq_cut, hex_cut, floor)
+    return _measured(cloud, *np.divmod(np.arange(n * n), n))
+
+
+def _torus_offsets(n: int, residues: tuple, sq_cut: float, hex_cut: int | None, floor):
+    """Nonzero residues with measure in the cutoff band, one of each inverse
+    pair {(s, t), (-s, -t)}: the first in (s, t) order that passes."""
+    keep = _in_band(residues, sq_cut, hex_cut, floor)
     keep[0] = False  # the zero residue
+    pos = keep.nonzero()[0]
+    s, t = residues[0][pos], residues[1][pos]
     inv = (-s % n) * n + (-t % n)  # flat index of the inverse residue
-    keep &= ~(keep[inv] & (inv < np.arange(n * n)))
-    return _select(offs, keep)
+    return _select(residues, pos[~(keep[inv] & (inv < pos))])
 
 
 def _key_shifts(n_points: int, n_offsets: int) -> tuple[int, int, int]:
@@ -325,11 +336,11 @@ def _key_shifts(n_points: int, n_offsets: int) -> tuple[int, int, int]:
     return k_bits + 2 * v_bits, k_bits + v_bits, k_bits
 
 
-def _lattice_candidates(
-    cloud: PointCloud, metric: Metric, sq_cut: float | None, hex_cut, floor: float = -math.inf
-):
-    """Candidate edges (a, b, sq, hx) of the cutoff graph, one row per
-    unordered pair, whose primary measure lies above ``floor``, in key order.
+def _round_bands(cloud: PointCloud, metric: Metric, residues, sq_cut, hex_cut, floor):
+    """Candidate edges (a, b, sq, hx) of one cutoff round, one row per
+    unordered pair, whose primary measure lies above ``floor``: one band per
+    measure class, in increasing measure, each band in key order.  A torus
+    cloud passes its ``residues``, a plane cloud None.
 
     Every point p looks up p + (s, t) for each offset in a grid padded on each
     axis by that axis's largest offset component, so no lookup wraps.  A plane
@@ -343,17 +354,18 @@ def _lattice_candidates(
 
     All rows of one offset share its measure, so the offsets are ranked by
     measure, equal measures sharing a class, and each row becomes one int64
-    key: class, a, b, offset index, from the high bits down.  One sort of the
-    keys puts the rows in key order; the offset index never decides it (each
-    pair occurs once) and only recovers the row's measures.
+    key: class, a, b, offset index, from the high bits down.  The grid and
+    the classes are built once per round; a class's offsets are looked up
+    together, only once the band before it has been taken, and one sort of
+    their keys puts the rows in key order.  The offset index never decides it
+    (each pair occurs once) and only recovers the row's measures.
     """
-    torus = cloud.topology.is_torus
-    offs = (_torus_offsets if torus else _plane_offsets)(cloud, sq_cut, hex_cut, floor)
+    torus, n, cuts = residues is not None, cloud.topology.n, (sq_cut, hex_cut, floor)
+    offs = _torus_offsets(n, residues, *cuts) if torus else _plane_offsets(cloud, *cuts)
     if not len(offs[0]):
-        return None
+        return
     di, dj, off_sq, off_hx = offs
     if torus:
-        n = cloud.topology.n
         di, dj = (np.where(2 * x > n, x - n, x) for x in (di, dj))  # the residue nearest 0
         extent, coords = np.array([n, n]), cloud.coords
     else:
@@ -375,54 +387,64 @@ def _lattice_candidates(
     cell = ci * shape[1] + cj
     k = len(off_sq)
     c_shift, a_shift, b_shift = _key_shifts(cloud.size, k)
+    v_mask = (1 << (a_shift - b_shift)) - 1
     measure = np.column_stack((off_hx, off_sq)) if metric.is_hex else off_sq
     cls = np.unique(measure, axis=0, return_inverse=True)[1].reshape(k)
-    head = ((cls << c_shift) | np.arange(k)).tolist()
-    keys = []
-    for s, t, h in zip(di.tolist(), dj.tolist(), head):
-        nb = grid[cell + (s * shape[1] + t)]
-        hit = nb > idx if torus and (2 * s) % n == 0 and (2 * t) % n == 0 else nb >= 0
-        p, q = idx[hit], nb[hit]
-        keys.append((np.minimum(p, q) << a_shift) | (np.maximum(p, q) << b_shift) | h)
-    key = np.concatenate(keys)
-    key.sort()
-    off = key & ((1 << b_shift) - 1)
-    v_mask = (1 << (a_shift - b_shift)) - 1
-    return (key >> a_shift) & v_mask, (key >> b_shift) & v_mask, off_sq[off], off_hx[off]
+    head = (cls << c_shift) | np.arange(k)
+    step = di * shape[1] + dj  # each offset's step in the flat grid
+    twice = ((2 * di) % n == 0) & ((2 * dj) % n == 0) if torus else np.zeros(k, dtype=bool)
+    order = np.argsort(cls, kind="stable")  # the offsets grouped by class
+    ends = np.cumsum(np.bincount(cls)).tolist()
+    for lo, hi in zip([0] + ends[:-1], ends):
+        o = order[lo:hi]
+        nb = grid[cell + step[o, None]]  # row j: the point each point meets by offset o[j]
+        j, p = ((nb > idx) | ((nb >= 0) & ~twice[o, None])).nonzero()
+        q = nb[j, p]
+        key = (np.minimum(p, q) << a_shift) | (np.maximum(p, q) << b_shift) | head[o[j]]
+        key.sort()
+        off = key & ((1 << b_shift) - 1)
+        yield (key >> a_shift) & v_mask, (key >> b_shift) & v_mask, off_sq[off], off_hx[off]
 
 
-def _largest_measure(cloud: PointCloud, hex_primary: bool) -> float:
+def _lattice_candidates(
+    cloud: PointCloud, metric: Metric, sq_cut: float | None, hex_cut, floor: float = -math.inf
+):
+    """Candidate edges (a, b, sq, hx) of the cutoff graph, one row per unordered
+    pair, whose primary measure lies above ``floor``, in key order: one round's
+    class bands, concatenated; None if no offset lies in the band."""
+    bands = list(_round_bands(cloud, metric, _residues(cloud), sq_cut, hex_cut, floor))
+    return tuple(map(np.concatenate, zip(*bands))) if bands else None
+
+
+def _largest_measure(cloud: PointCloud, residues, hex_primary: bool) -> float:
     """The largest primary measure an offset between two points of the cloud
-    can have: over all residues on a torus; on the plane, over the box of the
+    can have: over the residues on a torus; on the plane, over the box of the
     cloud's coordinate spreads, whose corners hold it (both measures are
     convex)."""
-    if cloud.topology.is_torus:
-        s, t = np.divmod(np.arange(cloud.topology.n**2), cloud.topology.n)
-    else:
+    if residues is None:
         p, q = np.ptp(cloud.coords, axis=0).tolist()
-        s, t = np.array([p, p]), np.array([q, -q])
+        residues = _measured(cloud, np.array([p, p]), np.array([q, -q]))
     if hex_primary:
-        return float(lattice.offset_hex(cloud.topology, s, t).max())
+        return float(residues[3].max())
     # the corner with the larger measure sums the absolute terms of the
     # quadratic form, so float rounding elsewhere in the box stays far below
     # this relative margin
-    return float(lattice.offset_sq(cloud.basis, cloud.topology, s, t).max()) * (1 + 1e-9)
+    return float(residues[2].max()) * (1 + 1e-9)
 
 
 def _cutoff_bands(cloud: PointCloud, metric: Metric):
-    """Candidates of each cutoff band, the cutoff growing fourfold (hex cutoffs
-    twofold) until it is at least the largest measure in the cloud."""
+    """Candidates of each cutoff round, one measure class at a time, the
+    cutoff growing fourfold (hex cutoffs twofold) until it is at least the
+    largest measure in the cloud.  A torus measures its residues once; each
+    round selects its offsets from them."""
     hex_primary = metric.is_hex
     cut, growth = (3, 2) if hex_primary else (_seed_cutoff(cloud.basis), 4)
     floor = -math.inf
-    top = None  # found only if the first band leaves the tree unfinished
+    residues = _residues(cloud)
+    top = _largest_measure(cloud, residues, hex_primary)
     while True:
         cuts = (None, cut) if hex_primary else (cut, None)
-        cand = _lattice_candidates(cloud, metric, *cuts, floor)
-        if cand is not None:
-            yield cand
-        if top is None:
-            top = _largest_measure(cloud, hex_primary)
+        yield from _round_bands(cloud, metric, residues, *cuts, floor)
         if cut >= top:
             return
         floor, cut = cut, cut * growth

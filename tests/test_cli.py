@@ -62,6 +62,21 @@ class TestRatio:
         assert not captured.out
         assert "takes no parameter" in captured.err
 
+    def test_inline_family_names_the_family(self, capsys):
+        outs = [
+            run(capsys, "ratio", "--construction", desc)
+            for desc in ("packing:family=ninth:n=12", "packing:ninth:n=12")
+        ]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0 and outs[0][1]
+
+    def test_non_numeric_value_exits_three(self, capsys):
+        code = main(["ratio", "--construction", "stretched:r=abc"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert not captured.out
+        assert captured.err.startswith("error: ")
+
     def test_torus_zero_rejected_like_n_zero(self, capsys):
         results = []
         for flag in ("--torus", "--n"):

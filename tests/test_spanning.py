@@ -291,9 +291,9 @@ def test_growth_rounds_match_full_enumeration(monkeypatch, topology, hexagonal):
     cloud = full.subset(np.sort(np.random.default_rng(5).permutation(full.size)[:500]))
     metric = Metric.hexagonal(cloud.topology) if hexagonal else Metric.euclidean(cloud.topology)
     rounds = []
-    candidates = spanning._lattice_candidates
+    round_bands = spanning._round_bands  # called once per growth round
     monkeypatch.setattr(
-        spanning, "_lattice_candidates", lambda *a: rounds.append(a) or candidates(*a)
+        spanning, "_round_bands", lambda *a: rounds.append(a) or round_bands(*a)
     )
     fast = mst(cloud, metric)
     assert len(rounds) > 1
@@ -477,3 +477,93 @@ def test_candidate_key_width_guard():
     for points, offsets in ((2**24 + 1, 2**7), (2**24, 2**7 + 1), (2**30, 400)):
         with pytest.raises(InvariantViolation, match="63 bits"):
             spanning._key_shifts(points, offsets)
+
+
+# -- class bands of a cutoff round ------------------------------------------------
+
+
+@given(
+    basis_name=st.sampled_from(sorted(KEY_BASES)),
+    torus=st.booleans(),
+    n=st.integers(3, 14),
+    keep=st.floats(0.3, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    hexagonal=st.booleans(),
+    band=st.integers(0, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_round_comes_in_class_bands(basis_name, torus, n, keep, seed, hexagonal, band):
+    basis = KEY_BASES[basis_name]
+    cloud = generate_rhombus(basis, n, Topology.torus(n) if torus else None)
+    cloud = cloud.subset(np.flatnonzero(np.random.default_rng(seed).random(cloud.size) < keep))
+    assume(cloud.size >= 2)
+    metric = Metric.hexagonal(cloud.topology) if hexagonal else Metric.euclidean(cloud.topology)
+    first, growth = (3, 2) if hexagonal else (spanning._seed_cutoff(basis), 4)
+    cut = first * growth**band
+    floor = cut / growth if band else -math.inf
+    cuts = (None, cut) if hexagonal else (cut, None)
+    bands = list(spanning._round_bands(cloud, metric, spanning._residues(cloud), *cuts, floor))
+    classes = []
+    for a, b, sq, hx in bands:
+        measures = set(zip(hx.tolist(), sq.tolist()) if hexagonal else sq.tolist())
+        assert len(measures) <= 1  # one measure class per band
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert pairs == sorted(set(pairs))  # in (a, b) order, each pair once
+        classes += measures
+    assert classes == sorted(set(classes))  # classes rise strictly
+    rows = [row for band_rows in bands for row in zip(*(x.tolist() for x in band_rows))]
+    assert rows == _candidate_rows(cloud, metric, *cuts, floor)
+
+
+def test_tree_stops_at_the_class_that_spans(monkeypatch):
+    # the unit-distance class spans the full quarter-packing cloud, so no
+    # later class of the first round is ever looked up
+    cloud = cons.build_construction("packing:quarter", n=24).cloud
+    assert cloud.size == 576 > spanning._FULL_PAIR_LIMIT
+    yielded = []
+    round_bands = spanning._round_bands
+
+    def counting(*args):
+        for band in round_bands(*args):
+            yielded.append(band)
+            yield band
+
+    monkeypatch.setattr(spanning, "_round_bands", counting)
+    tree = mst(cloud, Metric.EUCLIDEAN_TORUS)
+    monkeypatch.undo()
+    assert [set(band[2].tolist()) for band in yielded] == [{1.0}]
+    assert sum(len(band[0]) for band in yielded) == 3 * 576
+    seed = spanning._seed_cutoff(cloud.basis)
+    assert len(spanning._lattice_candidates(cloud, Metric.EUCLIDEAN_TORUS, seed, None)[0]) == 18 * 576
+    assert tree.edge_count == 575 and (tree.sq == 1.0).all()
+
+
+# sha256 of the (a, b, sq, hex) arrays of each class tree and the whole
+# cloud's tree, recorded on the implementation that generated every class of
+# a cutoff round before growing the tree over it
+TREE_DIGESTS = [
+    ("stretched:r=60", {}, [
+        "0bb5a9ab4f9d2a0102f5ece51003e699bb22404b9bc8852a7b18a764658d406a",
+        "174dede0e992ad698f0495051f0d4e2a7bfaebd295fbffc3fe9687ce80b031f9",
+        "eb70738506eacaefd81a8b0f7a55001aea10691ec458579a32674d23a2c5600b",
+    ]),
+    ("packing:quarter", {"n": 24}, [
+        "6d12a835fb39d856132f60dee25cc3f6e5880e1967ea01d071d81fbbac608ddb",
+        "6b58fd00cce5ed6936416f553c1b49b10c5890123056c4746c4ae24b8c556fbb",
+        "f436f476e4f0f130b0ec8135012f195d28a5b32e94c66faab7ef6028919e688e",
+    ]),
+]
+
+
+@pytest.mark.parametrize("descriptor,overrides,digests", TREE_DIGESTS, ids=["stretched60", "quarter24"])
+def test_construction_trees_unchanged(descriptor, overrides, digests):
+    built = cons.build_construction(descriptor, **overrides)
+    clouds = [built.cloud.subset(built.coloring.class_indices(c)) for c in range(2)] + [built.cloud]
+    assert clouds[-1].size > spanning._FULL_PAIR_LIMIT  # the whole cloud takes the cutoff path
+    found = []
+    for cloud in clouds:
+        tree = mst(cloud, built.metric)
+        found.append(hashlib.sha256(
+            repr([x.tolist() for x in (tree.a, tree.b, tree.sq, tree.hex)]).encode()
+        ).hexdigest())
+    assert found == digests
