@@ -20,6 +20,7 @@ import numpy as np
 
 from . import audits, habitat, persistence, render, search
 from .constructions import (
+    REGISTRY,
     Coloring,
     build_construction,
     mst_ratio,
@@ -27,7 +28,7 @@ from .constructions import (
     random_coloring,
 )
 from .errors import InvariantViolation, MstRatioError
-from .lattice import Metric, cloud_from_doc, cloud_to_doc
+from .lattice import Metric, cloud_from_doc, cloud_to_doc, integral
 
 EXIT_CONFIG = 2
 EXIT_CONSTRUCTION = 3
@@ -77,8 +78,8 @@ def _instance(args):
         cloud, colors = cloud_from_doc(doc)
         coloring = None
         if colors is not None:
-            arity = max(2, max(colors) + 1)
-            coloring = Coloring(tuple(colors), arity)
+            colors = integral(colors, "color")
+            coloring = Coloring(colors, max(2, int(colors.max(initial=0)) + 1))
         metric = Metric.euclidean(cloud.topology)
         closed = None
         name = args.infile
@@ -127,21 +128,10 @@ def _parse_values(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
 
 
-def _integral(value: float) -> int:
-    if abs(value - round(value)) > 1e-9:
-        raise MstRatioError(f"sweep value {value:g} is not an integer")
-    return round(value)
-
-
 def _sweep_row(task):
-    family, value = task
-    param = "r" if family == "stretched" else "n"
+    family, param, value = task
     built = build_construction(family, **{param: value})
-    report = (
-        mst_ratio(built.cloud, built.coloring, built.metric)
-        if built.coloring.arity == 2
-        else multiway_ratio(built.cloud, built.coloring, built.metric)
-    )
+    report = multiway_ratio(built.cloud, built.coloring, built.metric)
     closed = built.closed_form
     return {
         "param": value,
@@ -155,10 +145,9 @@ def cmd_sweep(args) -> int:
     values = _parse_values(args.values)
     if not values:
         raise MstRatioError("empty sweep range")
-    if args.family == "stretched":
-        tasks = [(args.family, float(v)) for v in values]
-    else:
-        tasks = [(args.family, _integral(v)) for v in values]
+    entry = REGISTRY[args.family]
+    (param,) = entry.params  # a sweep family takes one parameter
+    tasks = [(args.family, param, entry.typed(param, v)) for v in values]
     threads = os.environ.get("MSTRATIO_THREADS", "1")
     try:
         workers = min(int(threads), len(tasks))
@@ -336,9 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--thicken", type=int, help="fill thickenings up to level k")
 
     p = sub.add_parser("sweep")
-    p.add_argument("--family", required=True,
-                   choices=["stretched", "quarter", "third", "seventh", "ninth",
-                            "checkerboard", "threeway"])
+    p.add_argument("--family", required=True, choices=[
+        name for name, entry in REGISTRY.items() if len(entry.params) == 1 and entry.closed_form
+    ])
     p.add_argument("--values", required=True,
                    help="comma list '4,6,8' or range 'start:stop[:step]'")
     p.add_argument("--out", default="-")

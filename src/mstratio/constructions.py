@@ -7,11 +7,9 @@ two-triangle configuration, the near-collapse family, and the three-way split.
 """
 from __future__ import annotations
 
-import inspect
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -34,6 +32,7 @@ from .lattice import (
     generate_square,
     hexagonal_basis,
     cloud_from_cartesian,
+    integral,
     square_basis,
 )
 
@@ -64,7 +63,7 @@ class Coloring:
         labels = self.labels
         if isinstance(labels, Iterator):
             labels = list(labels)
-        arr = np.array(labels, dtype=np.int64)  # a copy, never the caller's array
+        arr = integral(np.array(labels), "label")  # a copy, never the caller's array
         if arr.ndim != 1:
             raise TypeError("labels must be a flat sequence of integers")
         if self.arity < 2:
@@ -204,7 +203,7 @@ def sublattice_coloring(cloud: PointCloud, generators, offset=(0, 0)) -> Colorin
     di = cloud.coords[:, 0] - int(offset[0])
     dj = cloud.coords[:, 1] - int(offset[1])
     blue = member(di, dj)
-    return Coloring(tuple(np.where(blue, 0, 1).tolist()), 2)
+    return Coloring(np.where(blue, 0, 1), 2)
 
 
 #: family -> (generator rows, lattice index, squared minimum blue distance)
@@ -329,11 +328,9 @@ def stretched_hex(r: float) -> tuple[PointCloud, Coloring]:
     Blue points have j = 0 (mod 3); their minimum distance is 3*sqrt(3) and the
     window counts are validated against the closed form at construction time.
     """
-    if r < 9:
-        raise RegionTooSmall("stretched window needs r >= 9")
+    form = stretched_form(r)  # raises RegionTooSmall below r = 9
     cloud = generate_square(stretched_basis(), r)
     labels = np.where(cloud.coords[:, 1] % 3 == 0, 0, 1)
-    form = stretched_form(r)
     cols = 2 * cloud.coords[:, 0] + cloud.coords[:, 1]
     p = len(np.unique(cols))
     center = cols == 0
@@ -344,7 +341,7 @@ def stretched_hex(r: float) -> tuple[PointCloud, Coloring]:
         raise InvariantViolation("stretched window disagrees with the closed form")
     if not (n - 2 * p <= 3 * m <= n + 2 * p):
         raise InvariantViolation("blue count outside the expected band")
-    return cloud, Coloring(tuple(labels.tolist()), 2)
+    return cloud, Coloring(labels, 2)
 
 
 def seven_points(eps: float) -> tuple[PointCloud, Coloring]:
@@ -391,7 +388,7 @@ def integer_checkerboard(n: int) -> tuple[PointCloud, Coloring]:
         raise ValueError("need n >= 2")
     cloud = generate_rhombus(square_basis(), n)
     labels = (cloud.coords[:, 0] + cloud.coords[:, 1]) % 2
-    return cloud, Coloring(tuple(labels.tolist()), 2)
+    return cloud, Coloring(labels, 2)
 
 
 def fig8() -> tuple[PointCloud, Coloring]:
@@ -411,7 +408,7 @@ def threeway(n: int) -> tuple[PointCloud, Coloring]:
         raise ValueError("three-way split needs period divisible by 3")
     cloud = generate_rhombus(hexagonal_basis(), n, Topology.torus(n))
     labels = (cloud.coords[:, 1] - cloud.coords[:, 0]) % 3
-    return cloud, Coloring(tuple(labels.tolist()), 3)
+    return cloud, Coloring(labels, 3)
 
 
 # -- registry -------------------------------------------------------------------
@@ -427,98 +424,70 @@ class Construction:
     closed_form: float | None = None
 
 
-# Each builder's keyword parameters, with their defaults, are the parameters
-# its construction takes.
+@dataclass(frozen=True)
+class Base:
+    """A registry entry.  ``params`` maps each parameter to its default, whose
+    type is the parameter's: int, float, or str for a name.  ``build`` and
+    ``closed_form`` take the parameters as keywords; a packing alias fixes
+    its ``family``."""
 
+    build: Callable[..., tuple[PointCloud, Coloring]]
+    params: dict
+    metric: Metric
+    closed_form: Callable[..., float] | None = None
+    family: str | None = None
 
-def _build_fig8() -> Construction:
-    cloud, coloring = fig8()
-    return Construction("fig8", {}, cloud, coloring, Metric.EUCLIDEAN_PLANE, 122.0 / 99.0)
-
-
-def _build_packing(family="quarter", n=84) -> Construction:
-    n = int(n)
-    cloud, coloring = packing(family, n)
-    return Construction(
-        f"packing:{family}",
-        {"family": family, "n": n},
-        cloud,
-        coloring,
-        Metric.EUCLIDEAN_TORUS,
-        packing_torus_ratio(family, n),
-    )
-
-
-def _build_stretched(r=50) -> Construction:
-    r = float(r)
-    cloud, coloring = stretched_hex(r)
-    return Construction(
-        "stretched", {"r": r}, cloud, coloring, Metric.EUCLIDEAN_PLANE,
-        stretched_form(r).ratio,
-    )
-
-
-def _build_checkerboard(n=50) -> Construction:
-    n = int(n)
-    cloud, coloring = integer_checkerboard(n)
-    return Construction(
-        "checkerboard", {"n": n}, cloud, coloring, Metric.EUCLIDEAN_PLANE,
-        checkerboard_ratio(n),
-    )
-
-
-def _build_seven(eps=1e-6) -> Construction:
-    eps = float(eps)
-    cloud, coloring = seven_points(eps)
-    return Construction("seven", {"eps": eps}, cloud, coloring, Metric.EUCLIDEAN_PLANE)
-
-
-def _build_collapse(n=10, eps=1e-4) -> Construction:
-    n, eps = int(n), float(eps)
-    cloud, coloring = near_collapse(n, eps)
-    return Construction(
-        "collapse", {"n": n, "eps": eps}, cloud, coloring, Metric.EUCLIDEAN_PLANE
-    )
-
-
-def _build_threeway(n=60) -> Construction:
-    n = int(n)
-    cloud, coloring = threeway(n)
-    return Construction(
-        "threeway", {"n": n}, cloud, coloring, Metric.EUCLIDEAN_TORUS,
-        threeway_torus_ratio(n),
-    )
+    def typed(self, name: str, value):
+        """``value`` (text or a number) as parameter ``name``'s type: an int
+        within 1e-9 of an integer, a finite float, or a name; else MstRatioError."""
+        default = self.params[name]
+        if isinstance(default, int):
+            return int(integral(value, name))
+        if isinstance(default, str) and isinstance(value, str):
+            return value
+        if isinstance(default, float):
+            try:
+                if math.isfinite(float(value)):
+                    return float(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
+        kind = "name" if isinstance(default, str) else "finite number"
+        raise MstRatioError(f"{name} must be a {kind}, not {value!r}")
 
 
 REGISTRY = {
-    "fig8": _build_fig8,
-    "packing": _build_packing,
-    **{f: partial(_build_packing, f) for f in ("third", "quarter", "seventh", "ninth")},
-    "stretched": _build_stretched,
-    "checkerboard": _build_checkerboard,
-    "seven": _build_seven,
-    "collapse": _build_collapse,
-    "threeway": _build_threeway,
+    "fig8": Base(fig8, {}, Metric.EUCLIDEAN_PLANE, lambda: 122.0 / 99.0),
+    "packing": Base(
+        packing, {"family": "quarter", "n": 84}, Metric.EUCLIDEAN_TORUS, packing_torus_ratio
+    ),
+    **{
+        f: Base(packing, {"n": 84}, Metric.EUCLIDEAN_TORUS, packing_torus_ratio, f)
+        for f in PACKING_FAMILIES
+    },
+    "stretched": Base(
+        stretched_hex, {"r": 50.0}, Metric.EUCLIDEAN_PLANE, lambda r: stretched_form(r).ratio
+    ),
+    "checkerboard": Base(
+        integer_checkerboard, {"n": 50}, Metric.EUCLIDEAN_PLANE, checkerboard_ratio
+    ),
+    "seven": Base(seven_points, {"eps": 1e-6}, Metric.EUCLIDEAN_PLANE),
+    "collapse": Base(near_collapse, {"n": 10, "eps": 1e-4}, Metric.EUCLIDEAN_PLANE),
+    "threeway": Base(threeway, {"n": 60}, Metric.EUCLIDEAN_TORUS, threeway_torus_ratio),
 }
-
-
-def _coerce(value: str):
-    try:
-        return int(value)
-    except ValueError:
-        return float(value)
 
 
 def build_construction(descriptor: str, **overrides) -> Construction:
     """Build a registry construction from e.g. "stretched:r=200" or "packing:ninth:n=60".
 
     Keyword overrides (n=..., r=..., eps=..., family=...) win over inline parts;
-    a parameter the construction does not take raises MstRatioError.
+    a parameter the construction does not take, or a value not of its type,
+    raises MstRatioError.
     """
     parts = descriptor.split(":")
     base = parts[0]
     if base not in REGISTRY:
         raise KeyError(f"unknown construction {base!r}")
+    entry = REGISTRY[base]
     params: dict = {}
     for part in parts[1:]:
         for piece in part.split(","):
@@ -526,16 +495,19 @@ def build_construction(descriptor: str, **overrides) -> Construction:
                 continue
             if "=" in piece:
                 k, v = (x.strip() for x in piece.split("=", 1))
-                params[k] = v if k == "family" else _coerce(v)  # a family is a name
+                params[k] = v
             elif base == "packing" and piece in PACKING_FAMILIES:
                 params["family"] = piece
             else:
                 raise KeyError(f"cannot parse construction parameter {piece!r}")
-    for k, v in overrides.items():
-        if v is not None:
-            params[k] = v
-    builder = REGISTRY[base]
-    extra = sorted(set(params) - set(inspect.signature(builder).parameters))
+    params.update((k, v) for k, v in overrides.items() if v is not None)
+    extra = sorted(set(params) - set(entry.params))
     if extra:
         raise MstRatioError(f"construction {base!r} takes no parameter {', '.join(extra)}")
-    return builder(**params)
+    args = {**entry.params, **{k: entry.typed(k, v) for k, v in params.items()}}
+    if entry.family:
+        args["family"] = entry.family
+    cloud, coloring = entry.build(**args)
+    closed = None if entry.closed_form is None else entry.closed_form(**args)
+    name = f"packing:{args['family']}" if "family" in args else base
+    return Construction(name, args, cloud, coloring, entry.metric, closed)

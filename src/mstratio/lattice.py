@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DegenerateBasis,
     DuplicatePoints,
+    MstRatioError,
     NotHexagonal,
     TopologyMismatch,
 )
@@ -26,6 +27,23 @@ EPS_DET = 1e-12
 _GRAM_SNAP = 1e-9
 
 Vec = tuple[float, float]
+
+
+def integral(values, what: str) -> np.ndarray:
+    """``values`` (numbers or numeric text, any shape) as int64.  Each must lie
+    within 1e-9 of an integer of magnitude below 2**63; anything else, NaN and
+    infinities included, raises MstRatioError."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind in "biu" and (np.can_cast(arr.dtype, np.int64) or np.all(arr < 2**63)):
+            return arr.astype(np.int64, copy=False)
+        x = arr.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        raise MstRatioError(f"{what} must be a 64-bit integer, not {values!r}") from None
+    off = ~((np.abs(x) < 2.0**63) & np.isclose(x, np.round(x), rtol=0, atol=1e-9))
+    if off.any():
+        raise MstRatioError(f"{what} must be a 64-bit integer, not {x[off][0]:g}")
+    return np.round(x).astype(np.int64)
 
 
 def _dot(w: Vec, z: Vec) -> float:
@@ -152,7 +170,7 @@ class Topology:
 
     @classmethod
     def torus(cls, n: int) -> "Topology":
-        return cls("torus", int(n))
+        return cls("torus", int(integral(n, "torus period")))
 
     @property
     def is_torus(self) -> bool:
@@ -248,7 +266,7 @@ class PointCloud:
         cart = np.asarray(self.cartesian, dtype=float)
         object.__setattr__(self, "cartesian", cart)
         if self.coords is not None:
-            coords = np.asarray(self.coords, dtype=np.int64)
+            coords = integral(self.coords, "lattice coordinate")
             if self.topology.is_torus:
                 coords = np.mod(coords, self.topology.n)
             object.__setattr__(self, "coords", coords)
@@ -290,7 +308,7 @@ class PointCloud:
 
 
 def lattice_cloud(basis: Basis, topology: Topology, coords) -> PointCloud:
-    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
+    coords = integral(coords, "lattice coordinate").reshape(-1, 2)
     cart = coords @ basis.matrix()
     return PointCloud(basis, topology, coords, cart)
 

@@ -173,6 +173,16 @@ class TestSweepWorkers:
         code, _ = run(capsys, "sweep", "--family", "quarter", "--values", "4")
         assert code == 0 and self.RecordingPool.sizes == []
 
+    def test_fractional_value_rejected_before_any_worker(self, capsys, monkeypatch):
+        self.RecordingPool.sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.RecordingPool)
+        monkeypatch.setenv("MSTRATIO_THREADS", "2")
+        code = main(["sweep", "--family", "checkerboard", "--values", "4:6:0.5"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "n must be a 64-bit integer, not 4.5" in captured.err
+        assert self.RecordingPool.sizes == []
+
     @pytest.mark.parametrize("threads", ["two", "2.5", ""])
     def test_non_integer_threads_exit_two(self, capsys, monkeypatch, threads):
         monkeypatch.setenv("MSTRATIO_THREADS", threads)
@@ -375,3 +385,65 @@ class TestAudit:
         assert code == 0
         assert "FAIL" not in out
         assert "k=1 anomaly" in out
+
+
+class TestTypedInputs:
+    """Construction parameters, torus periods, coordinates and colors are typed."""
+
+    @pytest.mark.parametrize("descriptor", [
+        "packing:quarter:n=8.5", "checkerboard:n=6.5", "threeway:n=9.9", "collapse:n=5.5",
+        "stretched:r=inf", "stretched:r=nan", "collapse:eps=nan",
+    ])
+    def test_mistyped_parameter_exits_three(self, capsys, descriptor):
+        code = main(["ratio", "--construction", descriptor])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "must be" in captured.err
+
+    def test_mistyped_flag_exits_three(self, capsys):
+        code = main(["ratio", "--construction", "stretched", "--r", "inf"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+
+    @pytest.mark.parametrize("change", [
+        {"topology": {"type": "torus", "n": 2.5}},
+        {"coords": [[0, 0], [3.5, 0], [0, 1]]},
+        {"colors": [0, 1, 1.7]},
+    ], ids=["torus-period", "coordinate", "color"])
+    def test_fractional_document_exits_three(self, capsys, tmp_path, change):
+        doc = {
+            "basis": {"u": [1.0, 0.0], "v": [0.0, 1.0]},
+            "topology": {"type": "plane"},
+            "coords": [[0, 0], [1, 0], [0, 1]],
+            "colors": [0, 1, 1],
+            **change,
+        }
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(doc))
+        code = main(["ratio", "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "must be a 64-bit integer" in captured.err
+
+    def test_integral_float_colors_accepted(self, capsys, tmp_path):
+        doc = {
+            "basis": {"u": [1.0, 0.0], "v": [0.0, 1.0]},
+            "coords": [[0, 0], [1, 0], [0, 1]],
+            "colors": [0, 1.0, 2.0],
+        }
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "ratio", "--in", str(path))
+        assert code == 0
+        assert json.loads(out)["class_counts"] == [1, 1, 1]
+
+    def test_sweep_families_come_from_the_registry(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--family", "seven", "--values", "1"])
+        assert exc.value.code == 2
+        listed = capsys.readouterr().err.split("choose from ")[1]
+        assert {name.strip("'\") \n") for name in listed.split(",")} == {
+            "stretched", "quarter", "third", "seventh", "ninth", "checkerboard", "threeway"
+        }

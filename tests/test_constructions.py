@@ -348,3 +348,57 @@ def test_every_base_rejects_a_parameter_it_does_not_take(name):
         build_construction(f"{name}:bogus=1")
     with pytest.raises(MstRatioError, match="takes no parameter bogus"):
         build_construction(name, bogus=1.0)
+
+
+class TestColoringIntegralLabels:
+    def test_fractional_label_rejected(self):
+        with pytest.raises(MstRatioError, match="label"):
+            Coloring((0, 1, 1.7), 2)
+        with pytest.raises(MstRatioError, match="label"):
+            Coloring(np.array([0.0, 1.0, np.nan]), 2)
+
+    def test_integral_float_labels_accepted(self):
+        coloring = Coloring((0, 1.0, 2.0), 3)
+        assert coloring.labels == (0, 1, 2)
+        assert all(type(x) is int for x in coloring.labels)
+
+
+NUMERIC_PARAMS = [
+    (name, param)
+    for name, entry in sorted(cons.REGISTRY.items())
+    for param, default in entry.params.items()
+    if not isinstance(default, str)
+]
+
+
+@pytest.mark.parametrize(
+    "name,param", NUMERIC_PARAMS, ids=[f"{name}-{param}" for name, param in NUMERIC_PARAMS]
+)
+def test_every_numeric_parameter_takes_only_its_type(name, param):
+    default = cons.REGISTRY[name].params[param]
+    bad = ["inf", "-inf", "nan", "1e400", "abc", math.inf, math.nan, 10**400]
+    if isinstance(default, int):
+        bad += ["8.5", 8.5, default + 0.25]
+    for value in bad:
+        with pytest.raises(MstRatioError, match=f"^{param} must be"):
+            build_construction(f"{name}:{param}={value}")
+        with pytest.raises(MstRatioError, match=f"^{param} must be"):
+            build_construction(name, **{param: value})
+    want = build_construction(name, **{param: default})
+    for got in (
+        build_construction(name, **{param: float(default)}),
+        build_construction(name, **{param: str(default)}),
+        build_construction(f"{name}:{param}={float(default)!r}"),
+    ):
+        assert (got.name, got.params, got.closed_form) == (want.name, want.params, want.closed_form)
+        assert all(type(got.params[k]) is type(v) for k, v in want.params.items())
+        assert got.coloring == want.coloring
+        assert np.array_equal(got.cloud.cartesian, want.cloud.cartesian)
+
+
+def test_packing_alias_fixes_its_family():
+    with pytest.raises(MstRatioError, match="takes no parameter family"):
+        build_construction("quarter:family=ninth")
+    alias, full = build_construction("ninth", n=9), build_construction("packing:ninth", n=9)
+    assert (alias.name, alias.params, alias.closed_form) == (full.name, full.params, full.closed_form)
+    assert alias.coloring == full.coloring

@@ -9,6 +9,7 @@ from oracles import hex_lengths
 from mstratio.errors import (
     DegenerateBasis,
     DuplicatePoints,
+    MstRatioError,
     TopologyMismatch,
 )
 from mstratio.lattice import (
@@ -23,6 +24,7 @@ from mstratio.lattice import (
     generate_square,
     hex_distance,
     hexagonal_basis,
+    integral,
     lattice_cloud,
     make_basis,
     nearest_image,
@@ -429,3 +431,40 @@ class TestTorusHexLength:
         ia, ib = (x.ravel() for x in np.meshgrid(np.arange(cloud.size), np.arange(cloud.size)))
         expect = hex_lengths(cloud, ia, ib)
         assert pair_hex(cloud, Metric.HEX_TORUS, ia, ib).tolist() == expect.tolist()
+
+
+class TestIntegralInputs:
+    """Torus periods and lattice coordinates are integers, or within 1e-9 of one."""
+
+    def test_integer_arrays_pass_through(self):
+        coords = np.array([[0, 0], [3, 0]], dtype=np.int64)
+        assert integral(coords, "coordinate") is coords
+        assert integral([2, 3.0, -1e-12, "4"], "value").tolist() == [2, 3, 0, 4]
+        big = np.array([2**62 + 1], dtype=np.uint64)  # exact, not through a float
+        assert integral(big, "value").tolist() == [2**62 + 1]
+
+    @pytest.mark.parametrize(
+        "value", [2.5, 4 + 1e-6, math.inf, -math.inf, math.nan, 1e30, 2**63, 10**400, "abc", None]
+    )
+    def test_other_values_rejected(self, value):
+        with pytest.raises(MstRatioError, match="must be a 64-bit integer"):
+            integral(value, "value")
+
+    def test_fractional_torus_period_rejected(self):
+        with pytest.raises(MstRatioError, match="torus period"):
+            Topology.torus(2.5)
+        assert Topology.torus(4.0) == Topology.torus(4)
+        assert type(Topology.torus(np.int64(4)).n) is int
+
+    def test_fractional_coordinate_rejected(self):
+        with pytest.raises(MstRatioError, match="lattice coordinate"):
+            lattice_cloud(square_basis(), Topology.plane(), [[0, 0], [3.5, 0], [0, 1]])
+        cloud = lattice_cloud(square_basis(), Topology.plane(), [[0, 0], [3.0, 0], [0, 1]])
+        assert cloud.coords.tolist() == [[0, 0], [3, 0], [0, 1]]
+
+    def test_fractional_document_rejected(self):
+        doc = {"basis": {"u": [1, 0], "v": [0, 1]}, "coords": [[0, 0], [1, 0]]}
+        with pytest.raises(MstRatioError, match="torus period"):
+            cloud_from_doc({**doc, "topology": {"type": "torus", "n": 2.5}})
+        with pytest.raises(MstRatioError, match="lattice coordinate"):
+            cloud_from_doc({**doc, "coords": [[0, 0], [1, 0.25]]})
