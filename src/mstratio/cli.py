@@ -79,6 +79,8 @@ def _instance(args):
         coloring = None
         if colors is not None:
             colors = integral(colors, "color")
+            if colors.ndim != 1:
+                raise MstRatioError("colors must be a flat list of integers")
             coloring = Coloring(colors, max(2, int(colors.max(initial=0)) + 1))
         metric = Metric.euclidean(cloud.topology)
         closed = None

@@ -275,6 +275,8 @@ class PointCloud:
         else:
             if self.topology.is_torus:
                 raise TopologyMismatch("cartesian-only clouds must be planar")
+            if not np.isfinite(cart).all():
+                raise MstRatioError("cartesian coordinates must be finite")
             if not _distinct_rows(cart):
                 raise DuplicatePoints("coincident cartesian points")
         self.cartesian.setflags(write=False)

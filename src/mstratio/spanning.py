@@ -12,12 +12,15 @@ fed bands of candidates, each continuing a prefix of the order:
   smallest of the rest, and so on, found by partitioning, not sorting.
 * Large lattice clouds enumerate only offsets below a distance cutoff, which
   meet each unordered pair once (on a torus, one residue of each inverse
-  pair (s, t), (-s, -t) mod n is an offset; the residues are measured once
-  per tree).  A round takes the pairs between the previous cutoff and the
-  next, one band per measure class, and the cutoff is grown until the tree
-  spans, which it does at the latest once the cutoff reaches the largest
-  measure an offset of the cloud can have.  Bands are generated lazily, so
-  no class after the one that completes the tree is looked up.
+  pair (s, t), (-s, -t) mod n is an offset).  One enumerator serves plane and
+  torus: it measures a box of offsets that holds every one within the cutoff,
+  clipped to the cloud's spreads on the plane and taken mod n on a torus.  A
+  round takes the pairs between the previous cutoff and the next, one band
+  per measure class, and the cutoff is grown until the tree spans, which it
+  does at the latest once the cutoff reaches the largest measure an offset of
+  the cloud can have; that bound is measured only when a round ends without
+  the tree spanning.  Bands are generated lazily, so no class after the one
+  that completes the tree is looked up.
 
 By the Kruskal prefix property the forest grown from a prefix is part of the
 final tree, so each band starts from the components of the forest so far and
@@ -260,29 +263,19 @@ def _seed_cutoff(basis: lattice.Basis) -> float:
     return 9.5 * basis.reduced().sq_offset(1, 0)
 
 
-def _measured(cloud: PointCloud, di, dj) -> tuple:
-    """The offsets with their measures: (di, dj, sq, hx)."""
-    sq = lattice.offset_sq(cloud.basis, cloud.topology, di, dj)
-    return di, dj, sq, lattice.offset_hex(cloud.topology, di, dj)
+def _offsets(cloud: PointCloud, sq_cut: float, hex_cut: int | None, floor) -> tuple:
+    """Nonzero offsets (di, dj, sq, hx) with primary measure at most the cutoff
+    and above ``floor``, the cutoff of the previous round (-inf in the first),
+    one of each inverse pair: half-plane canonical on the plane, on a torus
+    the residue (s, t) mod n whose flat index s·n + t is the smaller.
 
-
-def _in_band(offs: tuple, sq_cut: float, hex_cut: int | None, floor) -> np.ndarray:
-    """Which of the measured offsets (di, dj, sq, hx) have primary measure at
-    most the cutoff and above ``floor``, the cutoff of the previous round
-    (-inf in the first round)."""
-    if hex_cut is not None:
-        return (offs[3] <= hex_cut) & (offs[3] > floor)
-    return (offs[2] <= sq_cut + 1e-9) & (offs[2] > floor + 1e-9)
-
-
-def _plane_offsets(cloud: PointCloud, sq_cut: float, hex_cut: int | None, floor):
-    """Nonzero offsets (half-plane canonical) with measure in the cutoff band,
-    within the box of the cloud's coordinate spreads (no pair differs by more).
-
-    Hex offsets come from the box |di|, |dj| <= hex_cut.  Euclidean offsets
-    come from a box in the coefficients of the reduced basis, whose smallest
-    Gram eigenvalue bounds the box even when the cloud's own basis is skewed,
-    and are mapped back to the cloud's basis.
+    They come from one box: |di|, |dj| <= hex_cut for hex cutoffs; for
+    Euclidean ones, a box in the coefficients of the reduced basis, whose
+    smallest Gram eigenvalue bounds it even when the cloud's own basis is
+    skewed.  The box is mapped to the cloud's basis, and on the plane clipped
+    to the cloud's coordinate spreads (no pair differs by more).  On a torus
+    it is taken mod n, or is all of Z_n per axis once it is that wide; every
+    residue within the cutoff has its nearest image in the box.
     """
     if hex_cut is not None:
         m, ((a, b), (c, d)) = int(hex_cut), ((1, 0), (0, 1))
@@ -291,35 +284,27 @@ def _plane_offsets(cloud: PointCloud, sq_cut: float, hex_cut: int | None, floor)
         g = reduced.matrix() @ reduced.matrix().T
         lam_min = (g[0, 0] + g[1, 1] - math.hypot(g[0, 0] - g[1, 1], 2 * g[0, 1])) / 2.0
         m = int(math.ceil(math.sqrt(sq_cut / max(lam_min, 1e-12)))) + 1
-    rng = np.arange(-m, m + 1)
+    torus, n = cloud.topology.is_torus, cloud.topology.n
+    rng = np.arange(n) if torus and 2 * m + 1 >= n else np.arange(-m, m + 1)
     ri, rj = (x.ravel() for x in np.meshgrid(rng, rng, indexing="ij"))
     det = a * d - b * c  # ±1
     di, dj = det * (ri * d - rj * c), det * (rj * a - ri * b)
-    spread = np.ptp(cloud.coords, axis=0)
-    half = (dj > 0) | ((dj == 0) & (di > 0))
-    keep = half & (np.abs(di) <= spread[0]) & (np.abs(dj) <= spread[1])
-    offs = _measured(cloud, di[keep], dj[keep])
-    return _select(offs, _in_band(offs, sq_cut, hex_cut, floor))
-
-
-def _residues(cloud: PointCloud) -> tuple | None:
-    """Every residue (s, t) mod n of a torus cloud, in (s, t) order, with its
-    measures: (s, t, sq, hx); None for a plane cloud."""
-    if not cloud.topology.is_torus:
-        return None
-    n = cloud.topology.n
-    return _measured(cloud, *np.divmod(np.arange(n * n), n))
-
-
-def _torus_offsets(n: int, residues: tuple, sq_cut: float, hex_cut: int | None, floor):
-    """Nonzero residues with measure in the cutoff band, one of each inverse
-    pair {(s, t), (-s, -t)}: the first in (s, t) order that passes."""
-    keep = _in_band(residues, sq_cut, hex_cut, floor)
-    keep[0] = False  # the zero residue
-    pos = keep.nonzero()[0]
-    s, t = residues[0][pos], residues[1][pos]
-    inv = (-s % n) * n + (-t % n)  # flat index of the inverse residue
-    return _select(residues, pos[~(keep[inv] & (inv < pos))])
+    if torus:
+        di, dj = di % n, dj % n
+        flat = di * n + dj
+        keep = (flat > 0) & (flat <= (-di % n) * n + (-dj % n))
+    else:
+        spread = np.ptp(cloud.coords, axis=0)
+        half = (dj > 0) | ((dj == 0) & (di > 0))
+        keep = half & (np.abs(di) <= spread[0]) & (np.abs(dj) <= spread[1])
+    di, dj = di[keep], dj[keep]
+    sq = lattice.offset_sq(cloud.basis, cloud.topology, di, dj)
+    hx = lattice.offset_hex(cloud.topology, di, dj)
+    if hex_cut is not None:
+        band = (hx <= hex_cut) & (hx > floor)
+    else:
+        band = (sq <= sq_cut + 1e-9) & (sq > floor + 1e-9)
+    return di[band], dj[band], sq[band], hx[band]
 
 
 def _key_shifts(n_points: int, n_offsets: int) -> tuple[int, int, int]:
@@ -336,11 +321,10 @@ def _key_shifts(n_points: int, n_offsets: int) -> tuple[int, int, int]:
     return k_bits + 2 * v_bits, k_bits + v_bits, k_bits
 
 
-def _round_bands(cloud: PointCloud, metric: Metric, residues, sq_cut, hex_cut, floor):
+def _round_bands(cloud: PointCloud, metric: Metric, sq_cut, hex_cut, floor):
     """Candidate edges (a, b, sq, hx) of one cutoff round, one row per
     unordered pair, whose primary measure lies above ``floor``: one band per
-    measure class, in increasing measure, each band in key order.  A torus
-    cloud passes its ``residues``, a plane cloud None.
+    measure class, in increasing measure, each band in key order.
 
     Every point p looks up p + (s, t) for each offset in a grid padded on each
     axis by that axis's largest offset component, so no lookup wraps.  A plane
@@ -360,11 +344,10 @@ def _round_bands(cloud: PointCloud, metric: Metric, residues, sq_cut, hex_cut, f
     their keys puts the rows in key order.  The offset index never decides it
     (each pair occurs once) and only recovers the row's measures.
     """
-    torus, n, cuts = residues is not None, cloud.topology.n, (sq_cut, hex_cut, floor)
-    offs = _torus_offsets(n, residues, *cuts) if torus else _plane_offsets(cloud, *cuts)
-    if not len(offs[0]):
+    torus, n = cloud.topology.is_torus, cloud.topology.n
+    di, dj, off_sq, off_hx = _offsets(cloud, sq_cut, hex_cut, floor)
+    if not len(di):
         return
-    di, dj, off_sq, off_hx = offs
     if torus:
         di, dj = (np.where(2 * x > n, x - n, x) for x in (di, dj))  # the residue nearest 0
         extent, coords = np.array([n, n]), cloud.coords
@@ -412,39 +395,41 @@ def _lattice_candidates(
     """Candidate edges (a, b, sq, hx) of the cutoff graph, one row per unordered
     pair, whose primary measure lies above ``floor``, in key order: one round's
     class bands, concatenated; None if no offset lies in the band."""
-    bands = list(_round_bands(cloud, metric, _residues(cloud), sq_cut, hex_cut, floor))
+    bands = list(_round_bands(cloud, metric, sq_cut, hex_cut, floor))
     return tuple(map(np.concatenate, zip(*bands))) if bands else None
 
 
-def _largest_measure(cloud: PointCloud, residues, hex_primary: bool) -> float:
+def _largest_measure(cloud: PointCloud, hex_primary: bool) -> float:
     """The largest primary measure an offset between two points of the cloud
-    can have: over the residues on a torus; on the plane, over the box of the
+    can have: over all residues on a torus; on the plane, over the box of the
     cloud's coordinate spreads, whose corners hold it (both measures are
     convex)."""
-    if residues is None:
+    if cloud.topology.is_torus:
+        n = cloud.topology.n
+        di, dj = np.divmod(np.arange(n * n), n)
+    else:
         p, q = np.ptp(cloud.coords, axis=0).tolist()
-        residues = _measured(cloud, np.array([p, p]), np.array([q, -q]))
+        di, dj = np.array([p, p]), np.array([q, -q])
     if hex_primary:
-        return float(residues[3].max())
+        return float(lattice.offset_hex(cloud.topology, di, dj).max())
     # the corner with the larger measure sums the absolute terms of the
     # quadratic form, so float rounding elsewhere in the box stays far below
     # this relative margin
-    return float(residues[2].max()) * (1 + 1e-9)
+    return float(lattice.offset_sq(cloud.basis, cloud.topology, di, dj).max()) * (1 + 1e-9)
 
 
 def _cutoff_bands(cloud: PointCloud, metric: Metric):
     """Candidates of each cutoff round, one measure class at a time, the
     cutoff growing fourfold (hex cutoffs twofold) until it is at least the
-    largest measure in the cloud.  A torus measures its residues once; each
-    round selects its offsets from them."""
+    largest measure in the cloud, which is measured only if a round ends
+    without the tree spanning."""
     hex_primary = metric.is_hex
     cut, growth = (3, 2) if hex_primary else (_seed_cutoff(cloud.basis), 4)
-    floor = -math.inf
-    residues = _residues(cloud)
-    top = _largest_measure(cloud, residues, hex_primary)
+    floor, top = -math.inf, None
     while True:
         cuts = (None, cut) if hex_primary else (cut, None)
-        yield from _round_bands(cloud, metric, residues, *cuts, floor)
+        yield from _round_bands(cloud, metric, *cuts, floor)
+        top = _largest_measure(cloud, hex_primary) if top is None else top
         if cut >= top:
             return
         floor, cut = cut, cut * growth

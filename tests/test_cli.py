@@ -427,6 +427,34 @@ class TestTypedInputs:
         assert captured.out == ""
         assert "must be a 64-bit integer" in captured.err
 
+    def test_nested_colors_exit_three(self, capsys, tmp_path):
+        doc = {
+            "basis": {"u": [1.0, 0.0], "v": [0.0, 1.0]},
+            "coords": [[0, 0], [1, 0], [0, 1]],
+            "colors": [[0], [1], [1]],
+        }
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(doc))
+        code = main(["ratio", "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "colors must be a flat list" in captured.err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_cartesian_document_exits_three(self, capsys, tmp_path, bad):
+        doc = {
+            "basis": {"u": [1.0, 0.0], "v": [0.0, 1.0]},
+            "coords": None,
+            "cartesian": [[0.0, 0.0], [1.0, bad], [0.0, 1.0]],
+            "colors": [0, 1, 1],
+        }
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(doc))
+        code = main(["ratio", "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "cartesian coordinates must be finite" in captured.err
+
     def test_integral_float_colors_accepted(self, capsys, tmp_path):
         doc = {
             "basis": {"u": [1.0, 0.0], "v": [0.0, 1.0]},

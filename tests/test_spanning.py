@@ -232,20 +232,30 @@ def _candidate_rows(cloud, metric, sq_cut, hex_cut, floor=-math.inf):
     return list(zip(*(x.tolist() for x in cand)))
 
 
-def _brute_candidate_rows(cloud, sq_cut, hex_cut):
-    """Every pair a < b whose nearest-image measure is within the cutoff."""
+def _torus_pairs(cloud):
+    """Every pair a < b with its nearest-image measures: (a, b, sq, hx)."""
     ia, ib = np.triu_indices(cloud.size, k=1)
     sq = pair_sq(cloud, Metric.EUCLIDEAN_TORUS, ia, ib)
-    hx = pair_hex(cloud, Metric.HEX_TORUS, ia, ib)
+    return ia, ib, sq, pair_hex(cloud, Metric.HEX_TORUS, ia, ib)
+
+
+def _brute_candidate_rows(pairs, sq_cut, hex_cut):
+    """The ``pairs`` whose measure is within the cutoff."""
+    sq, hx = pairs[2:]
     keep = hx <= hex_cut if hex_cut is not None else sq <= sq_cut + 1e-9
-    return list(zip(*(x[keep].tolist() for x in (ia, ib, sq, hx))))
+    return list(zip(*(x[keep].tolist() for x in pairs)))
 
 
 NON_REDUCED = Basis((1.0, 0.0), (3.3, 0.2))
+SKEWED = Basis((1.0, 0.0), (30.001, 0.01))  # reduced: (0.001, 0.01), (0.99, -0.1)
 
 
-@pytest.mark.parametrize("basis", [hexagonal_basis(), NON_REDUCED], ids=["hex", "non-reduced"])
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 11])
+# at n = 17 and 40 the offset box of a small cutoff is narrower than the torus
+# (the seed cutoff scales with the basis's shortest vector, so the skewed
+# basis gets one too); the box of the whole-torus cutoff covers it
+@pytest.mark.parametrize("basis", [hexagonal_basis(), NON_REDUCED, SKEWED],
+                         ids=["hex", "non-reduced", "skewed"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 11, 17, 40])
 @pytest.mark.parametrize("subset", [False, True], ids=["full", "subset"])
 def test_torus_candidates_once_per_pair(basis, n, subset):
     cloud = generate_rhombus(basis, n, Topology.torus(n))
@@ -253,8 +263,11 @@ def test_torus_candidates_once_per_pair(basis, n, subset):
         rng = np.random.default_rng(n)
         cloud = cloud.subset(rng.permutation(cloud.size)[: max(2, cloud.size // 2)])
     whole = 4.0 * (basis.sq_offset(n, 0) + basis.sq_offset(0, n))  # the whole torus
+    seed = spanning._seed_cutoff(basis)
+    measured = _torus_pairs(cloud)
     for metric, cuts in (
-        (Metric.EUCLIDEAN_TORUS, [(0.5, None), (1.0, None), (3.0, None), (9.5, None), (whole, None)]),
+        (Metric.EUCLIDEAN_TORUS,
+         [(0.5, None), (1.0, None), (3.0, None), (9.5, None), (seed, None), (whole, None)]),
         (Metric.HEX_TORUS, [(None, 1), (None, 2), (None, 3), (None, 2 * n)]),
     ):
         for sq_cut, hex_cut in cuts:
@@ -262,7 +275,7 @@ def test_torus_candidates_once_per_pair(basis, n, subset):
             pairs = [(a, b) for a, b, _, _ in rows]
             assert len(set(pairs)) == len(pairs)
             assert all(a < b for a, b in pairs)
-            assert sorted(rows) == _brute_candidate_rows(cloud, sq_cut, hex_cut)
+            assert sorted(rows) == _brute_candidate_rows(measured, sq_cut, hex_cut)
 
 
 @pytest.mark.parametrize("topology", ["plane", "torus"])
@@ -424,7 +437,6 @@ def test_thin_plane_cloud_tree_matches_oracle(hexagonal):
 
 # -- key order of cutoff-band candidates ------------------------------------------
 
-SKEWED = Basis((1.0, 0.0), (30.001, 0.01))  # reduced: (0.001, 0.01), (0.99, -0.1)
 KEY_BASES = {"hex": hexagonal_basis(), "square": square_basis(),
              "non-reduced": NON_REDUCED, "skewed": SKEWED}
 
@@ -502,7 +514,7 @@ def test_round_comes_in_class_bands(basis_name, torus, n, keep, seed, hexagonal,
     cut = first * growth**band
     floor = cut / growth if band else -math.inf
     cuts = (None, cut) if hexagonal else (cut, None)
-    bands = list(spanning._round_bands(cloud, metric, spanning._residues(cloud), *cuts, floor))
+    bands = list(spanning._round_bands(cloud, metric, *cuts, floor))
     classes = []
     for a, b, sq, hx in bands:
         measures = set(zip(hx.tolist(), sq.tolist()) if hexagonal else sq.tolist())
@@ -513,6 +525,23 @@ def test_round_comes_in_class_bands(basis_name, torus, n, keep, seed, hexagonal,
     assert classes == sorted(set(classes))  # classes rise strictly
     rows = [row for band_rows in bands for row in zip(*(x.tolist() for x in band_rows))]
     assert rows == _candidate_rows(cloud, metric, *cuts, floor)
+
+
+@pytest.mark.parametrize("metric", [Metric.EUCLIDEAN_TORUS, Metric.HEX_TORUS])
+def test_torus_tree_measures_only_its_box(monkeypatch, metric):
+    # the first round spans the dense cloud, so no offset outside its box is
+    # measured, and never all n² residues
+    n = 60
+    cloud = cons.build_construction("packing:quarter", n=n).cloud
+    sizes = []
+    offset_sq = spanning.lattice.offset_sq
+    monkeypatch.setattr(
+        spanning.lattice, "offset_sq", lambda *a: sizes.append(len(a[2])) or offset_sq(*a)
+    )
+    tree = mst(cloud, metric)
+    monkeypatch.undo()
+    assert sizes and max(sizes) < n * n
+    assert tree.edge_count == cloud.size - 1
 
 
 def test_tree_stops_at_the_class_that_spans(monkeypatch):
