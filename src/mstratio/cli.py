@@ -11,6 +11,7 @@ value; a value that is not an integer exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -288,6 +289,7 @@ def _add_instance_args(p: argparse.ArgumentParser):
     p.add_argument("--out", default="-", help="output path ('-' for stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mstratio",

@@ -23,7 +23,7 @@ torus's (n, n, 2) triangle array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -64,15 +64,20 @@ def _tri_neighbors(t: Tri, n: int):
     return out
 
 
+@lru_cache(maxsize=1)
 def _triangle_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat (up, down) index pairs of every edge-adjacent triangle pair on the torus.
 
-    Up triangle (i, j) meets down triangles (i, j), (i, j-1) and (i-1, j).
+    Up triangle (i, j) meets down triangles (i, j), (i, j-1) and (i-1, j).  The
+    arrays are read-only and cached for the last n only, as they grow with n².
     """
     flat = np.arange(2 * n * n, dtype=np.int64).reshape(n, n, 2)
     up, down = flat[:, :, 0].ravel(), flat[:, :, 1]
     shifted = (down, np.roll(down, 1, axis=1), np.roll(down, 1, axis=0))
-    return np.tile(up, 3), np.concatenate([d.ravel() for d in shifted])
+    edges = np.tile(up, 3), np.concatenate([d.ravel() for d in shifted])
+    for side in edges:
+        side.setflags(write=False)
+    return edges
 
 
 def _tri_tuples(flat: np.ndarray, n: int) -> list[Tri]:
@@ -111,9 +116,9 @@ def _triangle_components(mask: np.ndarray, n: int) -> np.ndarray:
     up, down = _triangle_edges(n)
     both = mask[up] & mask[down]
     labels = spanning.label_components(len(mask), up[both], down[both])
-    out = np.full(len(mask), -1, dtype=np.int64)
-    out[mask] = np.unique(labels[mask], return_inverse=True)[1]
-    return out
+    # number the labels met on the mask 0, 1, ... in increasing order
+    used = np.bincount(labels[mask], minlength=len(mask)) > 0
+    return np.where(mask, (np.cumsum(used) - 1)[labels], -1)
 
 
 @dataclass(frozen=True)
@@ -234,17 +239,7 @@ class HabitatSummary:
     def to_json(self) -> dict:
         return {
             "depth": self.depth,
-            "levels": {
-                str(k): {
-                    "rooms": lv.rooms,
-                    "houses": lv.houses,
-                    "blocks": lv.blocks,
-                    "compounds": lv.compounds,
-                    "alpha": lv.alpha,
-                    "beta": lv.beta,
-                }
-                for k, lv in sorted(self.levels.items())
-            },
+            "levels": {str(k): asdict(lv) for k, lv in sorted(self.levels.items())},
         }
 
 
@@ -264,40 +259,46 @@ def habitat_summary(cloud: PointCloud, blue, k_max: int = 1) -> HabitatSummary:
     levels: dict[int, HabitatLevel] = {}
     for k in range(1, k_max + 1):
         counts = [tree.count(k, kind) for kind in ("rooms", "houses", "blocks", "compounds")]
-        alpha, beta, _ = backyards(cloud, blue, k, houses=tree.labels(k, "houses"))
-        levels[k] = HabitatLevel(*counts, alpha, beta)
+        yard, yard_house, stride = _yard_codes(cloud, blue, k, tree.labels(k, "houses"))
+        adjacent = np.bincount(yard_house // stride, minlength=yard.max() + 1)
+        beta = int((adjacent >= 3).sum())
+        levels[k] = HabitatLevel(*counts, len(adjacent) - beta, beta)
     return HabitatSummary(levels, tree.depth())
 
 
-def backyards(cloud: PointCloud, blue, k: int, *, houses: np.ndarray | None = None):
-    """Components of the background with their adjacent-house counts.
-
-    Returns (alpha, beta, components): alpha counts backyards adjacent to at
-    most two houses, beta those adjacent to three or more.  Adjacency means a
-    shared triangle edge.  ``houses`` may carry the level-k house labels of
-    the sorted blue points when the caller already has them.
-    """
-    blue = sorted(int(p) for p in blue)
-    n = _require_torus(cloud, k)
-    if not blue:
-        raise EmptySet("backyards of an empty set")
-    if houses is None:
-        houses = house_labels(cloud, blue, k)
+def _yard_codes(cloud: PointCloud, blue: list[int], k: int, houses: np.ndarray) -> tuple:
+    """Backyard label of each triangle (-1 on the thickening), the sorted codes
+    yard * stride + house of each backyard and house that share a triangle
+    edge, and the stride; ``houses`` labels the sorted blue points."""
+    n = cloud.topology.n
     cells = _disk_cells(cloud, blue, k)
     # overlapping disks share a room, so every covered triangle has one house
     house = np.full(2 * n * n, -1, dtype=np.int64)
     house[cells] = np.broadcast_to(np.asarray(houses)[:, None], cells.shape)
     background = house < 0
     yard = _triangle_components(background, n)
-    # (backyard, house) codes of every background/covered triangle edge
     stride = int(house.max()) + 1
     up, down = _triangle_edges(n)
     pairs = []
     for t, nb in ((up, down), (down, up)):
         side = background[t] & ~background[nb]
         pairs.append(yard[t[side]] * stride + house[nb[side]])
-    yard_house = np.unique(np.concatenate(pairs))
-    flat = np.flatnonzero(background)
+    return yard, np.unique(np.concatenate(pairs)), stride
+
+
+def backyards(cloud: PointCloud, blue, k: int):
+    """Components of the background with their adjacent-house counts.
+
+    Returns (alpha, beta, components): alpha counts backyards adjacent to at
+    most two houses, beta those adjacent to three or more.  Adjacency means a
+    shared triangle edge.
+    """
+    blue = sorted(int(p) for p in blue)
+    n = _require_torus(cloud, k)
+    if not blue:
+        raise EmptySet("backyards of an empty set")
+    yard, yard_house, stride = _yard_codes(cloud, blue, k, house_labels(cloud, blue, k))
+    flat = np.flatnonzero(yard >= 0)
     tris, owners = _tri_tuples(flat, n), (yard_house % stride).tolist()
     out = [
         (frozenset(tris[i] for i in members), {owners[i] for i in adj})

@@ -400,22 +400,21 @@ def _lattice_candidates(
 
 
 def _largest_measure(cloud: PointCloud, hex_primary: bool) -> float:
-    """The largest primary measure an offset between two points of the cloud
-    can have: over all residues on a torus; on the plane, over the box of the
-    cloud's coordinate spreads, whose corners hold it (both measures are
-    convex)."""
+    """An upper bound on the primary measure of an offset between two points:
+    the largest at a corner (both measures are convex) of a box holding an
+    image of each such offset, the coordinate spreads on the plane; on a
+    torus [-n/2, n/2]², which does so in the coefficients of any basis."""
     if cloud.topology.is_torus:
-        n = cloud.topology.n
-        di, dj = np.divmod(np.arange(n * n), n)
+        basis, p, q = cloud.basis.reduced(), cloud.topology.n / 2, cloud.topology.n / 2
     else:
-        p, q = np.ptp(cloud.coords, axis=0).tolist()
-        di, dj = np.array([p, p]), np.array([q, -q])
+        basis, (p, q) = cloud.basis, np.ptp(cloud.coords, axis=0).tolist()
+    di, dj = np.array([p, p]), np.array([q, -q])
     if hex_primary:
-        return float(lattice.offset_hex(cloud.topology, di, dj).max())
+        return float(lattice.hex_distance_arr(di, dj).max())
     # the corner with the larger measure sums the absolute terms of the
     # quadratic form, so float rounding elsewhere in the box stays far below
     # this relative margin
-    return float(lattice.offset_sq(cloud.basis, cloud.topology, di, dj).max()) * (1 + 1e-9)
+    return float(basis.sq_offset(di, dj).max()) * (1 + 1e-9)
 
 
 def _cutoff_bands(cloud: PointCloud, metric: Metric):

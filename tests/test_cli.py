@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from mstratio.cli import main
+from mstratio.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -310,6 +310,19 @@ class TestHabitat:
                   "--k-max", k_max])
         assert exc.value.code == 2
         assert "--k-max" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_built_once_and_reused(self, capsys):
+        assert build_parser() is build_parser()
+        quarter = ["habitat", "--construction", "packing:quarter", "--torus", "12"]
+        code, out = run(capsys, *quarter, "--k-max", "2")
+        assert code == 0 and sorted(json.loads(out)["levels"]) == ["1", "2"]
+        code, out = run(capsys, *quarter)  # the default k-max again
+        assert code == 0 and sorted(json.loads(out)["levels"]) == ["1"]
+        with pytest.raises(SystemExit) as exc:
+            main([*quarter, "--k-max", "0"])
+        assert exc.value.code == 2
 
 
 class TestPersist:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mstratio import audits, habitat, lattice
+from mstratio import audits, habitat, lattice, spanning
 from mstratio.constructions import packing_coloring
 from mstratio.errors import EmptySet, PeriodTooSmall
 from mstratio.lattice import Metric, Topology, generate_rhombus, hexagonal_basis
@@ -301,6 +301,46 @@ class TestBackyards:
     def test_bound_on_singleton(self):
         summary = habitat.habitat_summary(torus(8), [0], 1)
         assert habitat.check_backyard_bound(summary, 1)
+
+
+    @pytest.mark.parametrize("n", [8, 11, 16])
+    def test_summary_counts_match_backyards(self, n):
+        rng = np.random.default_rng(n)
+        cloud = torus(n)
+        k_max = 2 if n > 8 else 1
+        sets = [[0], list(range(cloud.size))]
+        for _ in range(8):
+            mask = rng.random(cloud.size) < rng.uniform(0.02, 0.5)
+            sets.append(np.flatnonzero(mask).tolist() or [int(rng.integers(cloud.size))])
+        for blue in sets:
+            summary = habitat.habitat_summary(cloud, blue, k_max)
+            for k in range(1, k_max + 1):
+                lv = summary.levels[k]
+                assert (lv.alpha, lv.beta) == habitat.backyards(cloud, blue, k)[:2]
+
+    def test_summary_builds_no_triangle_lists(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("habitat_summary built per-triangle lists")
+
+        for name in ("backyards", "_tri_tuples"):
+            monkeypatch.setattr(habitat, name, fail)
+        monkeypatch.setattr(habitat.spanning, "label_groups", fail)
+        cloud = torus(8)
+        blue = [int(i) for i in packing_coloring(cloud, "quarter").class_indices(0)]
+        lv = habitat.habitat_summary(cloud, blue, 1).levels[1]
+        assert (lv.alpha, lv.beta) == (0, 32)
+
+    def test_component_renumbering_matches_unique(self):
+        rng = np.random.default_rng(5)
+        for n in (3, 8, 13):
+            up, down = habitat._triangle_edges(n)
+            for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+                mask = rng.random(2 * n * n) < density
+                both = mask[up] & mask[down]
+                labels = spanning.label_components(len(mask), up[both], down[both])
+                expected = np.full(len(mask), -1)
+                expected[mask] = np.unique(labels[mask], return_inverse=True)[1]
+                assert np.array_equal(habitat._triangle_components(mask, n), expected)
 
 
 class TestFrontier:

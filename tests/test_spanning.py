@@ -544,6 +544,29 @@ def test_torus_tree_measures_only_its_box(monkeypatch, metric):
     assert tree.edge_count == cloud.size - 1
 
 
+@pytest.mark.parametrize("metric", [Metric.EUCLIDEAN_TORUS, Metric.HEX_TORUS])
+def test_sparse_torus_tree_measures_no_residue_table(monkeypatch, metric):
+    # the first round leaves 430 points of the 300-torus unspanned, so the
+    # stopping bound is needed; it comes from corners, not all n² residues
+    n = 300
+    full = generate_rhombus(hexagonal_basis(), n, Topology.torus(n))
+    cloud = full.subset(np.sort(np.random.default_rng(11).permutation(full.size)[:430]))
+    sizes, rounds = [], []
+    offset_sq, offset_hex = spanning.lattice.offset_sq, spanning.lattice.offset_hex
+    round_bands = spanning._round_bands
+    monkeypatch.setattr(
+        spanning.lattice, "offset_sq", lambda *a: sizes.append(len(a[2])) or offset_sq(*a)
+    )
+    monkeypatch.setattr(
+        spanning.lattice, "offset_hex", lambda *a: sizes.append(len(a[1])) or offset_hex(*a)
+    )
+    monkeypatch.setattr(spanning, "_round_bands", lambda *a: rounds.append(a) or round_bands(*a))
+    tree = mst(cloud, metric)
+    monkeypatch.undo()
+    assert len(rounds) > 1 and max(sizes) < n * n
+    assert [(e.a, e.b, e.sq_len, e.hex_len) for e in tree.edges] == kruskal(cloud, metric)
+
+
 def test_tree_stops_at_the_class_that_spans(monkeypatch):
     # the unit-distance class spans the full quarter-packing cloud, so no
     # later class of the first round is ever looked up
