@@ -213,8 +213,7 @@ def cmd_habitat(args) -> int:
     cloud, coloring, _, _, name = _instance(args)
     if coloring is None:
         raise MstRatioError("habitat needs a coloring (blue = class 0)")
-    blue = [int(i) for i in coloring.class_indices(0)]
-    summary = habitat.habitat_summary(cloud, blue, args.k_max)
+    summary = habitat.habitat_summary(cloud, coloring.class_indices(0).tolist(), args.k_max)
     _emit_json({"construction": name, **summary.to_json()}, args.out)
     return 0
 

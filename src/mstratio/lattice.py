@@ -287,6 +287,14 @@ class PointCloud:
     def size(self) -> int:
         return len(self.cartesian)
 
+    @cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-axis minimum and spread (maximum - minimum) of the lattice
+        coordinates, reduced one column at a time."""
+        x, y = self.coords.T
+        lo = np.array([x.min(), y.min()])
+        return lo, np.array([x.max(), y.max()]) - lo
+
     def subset(self, indices) -> "PointCloud":
         """The points at ``indices``, in that order.
 
@@ -320,10 +328,20 @@ def cloud_from_cartesian(points, basis: Basis | None = None) -> PointCloud:
     return PointCloud(basis or square_basis(), Topology.plane(), None, pts)
 
 
+def _runs(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs first[k], first[k] + 1, ..., first[k] + counts[k] - 1,
+    concatenated in order of k (counts are non-negative)."""
+    ends = np.cumsum(counts)
+    return np.arange(counts.sum()) + np.repeat(first - ends + counts, counts)
+
+
 def generate_square(basis: Basis, r: float, topology: Topology | None = None) -> PointCloud:
     """All lattice points with cartesian coordinates in the closed square [-r, r]².
 
-    Points are ordered row-major by (j, i).
+    Points are ordered row-major by (j, i).  Each row j of the window's
+    bounding box in (i, j) is cut to the i that meet both axis constraints
+    |i·u_k + j·v_k| <= r + tol, widened by one on each side, and emitted in
+    order; the float test then keeps exactly the points in the window.
     """
     topology = topology or Topology.plane()
     if topology.is_torus:
@@ -335,16 +353,19 @@ def generate_square(basis: Basis, r: float, topology: Topology | None = None) ->
     ij = corners @ minv.T
     lo = np.floor(ij.min(axis=0)).astype(int) - 1
     hi = np.ceil(ij.max(axis=0)).astype(int) + 1
-    ii, jj = np.meshgrid(
-        np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1), indexing="ij"
-    )
-    coords = np.column_stack([ii.ravel(), jj.ravel()])
-    cart = coords @ basis.matrix()
     tol = 1e-9
+    j = np.arange(lo[1], hi[1] + 1)
+    first, last = np.full(len(j), lo[0]), np.full(len(j), hi[0])
+    for uk, vk in zip(basis.u, basis.v):
+        if uk:
+            ends = (np.array([[-r - tol], [r + tol]]) - j * vk) / uk
+            first = np.maximum(first, np.floor(ends.min(axis=0)).astype(int) - 1)
+            last = np.minimum(last, np.ceil(ends.max(axis=0)).astype(int) + 1)
+    counts = np.maximum(last - first + 1, 0)
+    coords = np.column_stack([_runs(first, counts), np.repeat(j, counts)])
+    cart = coords @ basis.matrix()
     mask = (np.abs(cart[:, 0]) <= r + tol) & (np.abs(cart[:, 1]) <= r + tol)
-    coords = coords[mask]
-    order = np.lexsort((coords[:, 0], coords[:, 1]))
-    return lattice_cloud(basis, topology, coords[order])
+    return lattice_cloud(basis, topology, coords[mask])
 
 
 def generate_rhombus(basis: Basis, n: int, topology: Topology | None = None) -> PointCloud:
@@ -413,7 +434,8 @@ def _pair_offsets(rows: np.ndarray, ia, ib) -> tuple[np.ndarray, np.ndarray]:
     """The two columns of rows[ib] - rows[ia]."""
     ia = np.atleast_1d(np.asarray(ia, dtype=np.int64))
     ib = np.atleast_1d(np.asarray(ib, dtype=np.int64))
-    return rows[ib, 0] - rows[ia, 0], rows[ib, 1] - rows[ia, 1]
+    x, y = rows.T
+    return x[ib] - x[ia], y[ib] - y[ia]
 
 
 def pair_sq(cloud: PointCloud, metric: Metric, ia, ib) -> np.ndarray:

@@ -9,7 +9,10 @@ fed bands of candidates, each continuing a prefix of the order:
 
 * Small clouds and cartesian clouds enumerate all pairs; a band is the pairs
   whose primary measure is at most the (4V)-th smallest, then the (16V)-th
-  smallest of the rest, and so on, found by partitioning, not sorting.
+  smallest of the rest, and so on, found by partitioning, not sorting.  A
+  torus offset's measures depend only on its residue mod n, so a torus cloud
+  with at least n² pairs gathers them from a table of all n² residues,
+  measured once per basis and period and cached.
 * Large lattice clouds enumerate only offsets below a distance cutoff, which
   meet each unordered pair once (on a torus, one residue of each inverse
   pair (s, t), (-s, -t) mod n is an offset).  One enumerator serves plane and
@@ -18,9 +21,10 @@ fed bands of candidates, each continuing a prefix of the order:
   round takes the pairs between the previous cutoff and the next, one band
   per measure class, and the cutoff is grown until the tree spans, which it
   does at the latest once the cutoff reaches the largest measure an offset of
-  the cloud can have; that bound is measured only when a round ends without
-  the tree spanning.  Bands are generated lazily, so no class after the one
-  that completes the tree is looked up.
+  the cloud can have, taken at the corners of the box of its coordinate
+  spreads on the plane and of [-n/2, n/2]² on a torus; that bound is measured
+  only when a round ends without the tree spanning.  Bands are generated
+  lazily, so no class after the one that completes the tree is looked up.
 
 By the Kruskal prefix property the forest grown from a prefix is part of the
 final tree, so each band starts from the components of the forest so far and
@@ -29,8 +33,8 @@ bands are consecutive key ranges, so their tree edges, concatenated, are in
 key order.  Component labels come from the same kernel.
 
 Ranking is a stable sort by measure alone, because every band's rows arrive
-in (a, b) order within each measure: prefix bands come from
-``np.triu_indices`` and boolean masks keep that order, and a cutoff band, one
+in (a, b) order within each measure: prefix bands come from all pairs in
+(a, b) order and boolean masks keep that order, and a cutoff band, one
 measure class, is emitted in key order by one sort of int64 keys that pack
 (measure class, a, b), so it is not ranked again.
 
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -248,13 +252,48 @@ def _kruskal(
     return list(_EdgeArrays(*tree).edges)
 
 
+@lru_cache(maxsize=4)
+def _pair_index(v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair a < b of ``v`` points in (a, b) order, as ``np.triu_indices(v,
+    k=1)`` gives them; read-only and cached per size."""
+    counts = np.arange(v - 1, -1, -1)
+    first = np.arange(v)
+    pairs = np.repeat(first, counts), lattice._runs(first + 1, counts)
+    for side in pairs:
+        side.setflags(write=False)
+    return pairs
+
+
+@lru_cache(maxsize=16)
+def _residue_measures(basis: lattice.Basis, topology: lattice.Topology) -> tuple:
+    """Squared and hexagonal lengths of every residue (s, t) of the torus, at
+    flat index s·n + t; read-only and cached per torus.
+
+    Both depend only on the residue: ``nearest_image`` reduces the offset mod
+    n first, and ``offset_hex`` is the torus norm for |di|, |dj| < n.
+    """
+    n = topology.n
+    s, t = np.divmod(np.arange(n * n), n)
+    measures = lattice.offset_sq(basis, topology, s, t), lattice.offset_hex(topology, s, t)
+    for col in measures:
+        col.setflags(write=False)
+    return measures
+
+
 def _full_pair_arrays(cloud: PointCloud, metric: Metric):
-    ia, ib = np.triu_indices(cloud.size, k=1)
+    """Every pair a < b with its measures (a, b, sq, hx).  A torus with no
+    more residues than pairs gathers them from its residue table."""
+    ia, ib = _pair_index(cloud.size)
     if cloud.coords is None:
         return ia, ib, lattice.pair_sq(cloud, metric, ia, ib), None
     di, dj = lattice._pair_offsets(cloud.coords, ia, ib)
-    sq = lattice.offset_sq(cloud.basis, cloud.topology, di, dj)
-    return ia, ib, sq, lattice.offset_hex(cloud.topology, di, dj)
+    topology, n = cloud.topology, cloud.topology.n
+    if topology.is_torus and n * n <= len(ia):
+        sq, hx = _residue_measures(cloud.basis, topology)
+        flat = di % n * n + dj % n
+        return ia, ib, sq[flat], hx[flat]
+    sq = lattice.offset_sq(cloud.basis, topology, di, dj)
+    return ia, ib, sq, lattice.offset_hex(topology, di, dj)
 
 
 def _seed_cutoff(basis: lattice.Basis) -> float:
@@ -294,7 +333,7 @@ def _offsets(cloud: PointCloud, sq_cut: float, hex_cut: int | None, floor) -> tu
         flat = di * n + dj
         keep = (flat > 0) & (flat <= (-di % n) * n + (-dj % n))
     else:
-        spread = np.ptp(cloud.coords, axis=0)
+        spread = cloud.bounds[1]
         half = (dj > 0) | ((dj == 0) & (di > 0))
         keep = half & (np.abs(di) <= spread[0]) & (np.abs(dj) <= spread[1])
     di, dj = di[keep], dj[keep]
@@ -350,13 +389,13 @@ def _round_bands(cloud: PointCloud, metric: Metric, sq_cut, hex_cut, floor):
         return
     if torus:
         di, dj = (np.where(2 * x > n, x - n, x) for x in (di, dj))  # the residue nearest 0
-        extent, coords = np.array([n, n]), cloud.coords
+        lo, extent = (0, 0), np.array([n, n])
     else:
-        coords = cloud.coords - cloud.coords.min(axis=0)
-        extent = coords.max(axis=0) + 1
+        lo, spread = cloud.bounds
+        extent = spread + 1
     reach = np.abs(np.stack((di, dj), axis=1)).max(axis=0)
     shape = tuple((extent + 2 * reach).tolist())
-    ci, cj = np.ascontiguousarray((coords + reach).T)
+    ci, cj = (col + (r - m) for col, r, m in zip(cloud.coords.T, reach, lo))
     idx = np.arange(cloud.size, dtype=np.int64)
     if torus:
         grid = np.full((n, n), -1, dtype=np.int64)
@@ -407,7 +446,7 @@ def _largest_measure(cloud: PointCloud, hex_primary: bool) -> float:
     if cloud.topology.is_torus:
         basis, p, q = cloud.basis.reduced(), cloud.topology.n / 2, cloud.topology.n / 2
     else:
-        basis, (p, q) = cloud.basis, np.ptp(cloud.coords, axis=0).tolist()
+        basis, (p, q) = cloud.basis, cloud.bounds[1].tolist()
     di, dj = np.array([p, p]), np.array([q, -q])
     if hex_primary:
         return float(lattice.hex_distance_arr(di, dj).max())

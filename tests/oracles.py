@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mstratio.lattice import Metric, PointCloud, pair_sq
+from mstratio.lattice import Basis, Metric, PointCloud, pair_sq
 
 WINDOW = 4  # torus translates n·(s, t) with |s|, |t| <= WINDOW
 
@@ -31,6 +31,26 @@ def hex_lengths(cloud: PointCloud, ia, ib) -> np.ndarray:
             h = np.maximum(np.maximum(np.abs(i), np.abs(j)), np.abs(i + j))
             best = h if best is None else np.minimum(best, h)
     return best
+
+
+def window_coords(basis: Basis, r: float) -> np.ndarray:
+    """Lattice coordinates (i, j) of the points with cartesian coordinates in
+    [-r, r]², sorted by (j, i): every point of the window's bounding box in
+    (i, j), widened by one, is measured and masked."""
+    minv = np.linalg.inv(basis.matrix().T)
+    corners = np.array([[r, r], [r, -r], [-r, r], [-r, -r]], dtype=float)
+    ij = corners @ minv.T
+    lo = np.floor(ij.min(axis=0)).astype(int) - 1
+    hi = np.ceil(ij.max(axis=0)).astype(int) + 1
+    ii, jj = np.meshgrid(
+        np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1), indexing="ij"
+    )
+    coords = np.column_stack([ii.ravel(), jj.ravel()])
+    cart = coords @ basis.matrix()
+    tol = 1e-9
+    mask = (np.abs(cart[:, 0]) <= r + tol) & (np.abs(cart[:, 1]) <= r + tol)
+    coords = coords[mask]
+    return coords[np.lexsort((coords[:, 0], coords[:, 1]))]
 
 
 def kruskal(cloud: PointCloud, metric: Metric) -> list[tuple]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import hex_lengths
+from oracles import hex_lengths, window_coords
 
 from mstratio.errors import (
     DegenerateBasis,
@@ -121,9 +121,40 @@ class TestGeneration:
         expect = [(i, j) for j in range(3) for i in range(3)]
         assert [tuple(c) for c in cloud.coords] == expect
 
+    @pytest.mark.parametrize("r", [1e-9, 0.5, 1.0, 2.0, 3.7, 7.25, 10.0, 31.0, 64.5])
+    @pytest.mark.parametrize("basis", [
+        hexagonal_basis(),
+        square_basis(),
+        Basis((9.0, 0.0), (4.5, SQRT3 / 2)),
+        Basis((3.3, 0.2), (0.5, 5.0)),
+        Basis((0.0, 1.0), (-1.0, 0.5)),
+    ], ids=["hex", "square", "stretched", "skewed", "vertical-u"])
+    def test_window_rows_match_bounding_box(self, basis, r):
+        cloud = generate_square(basis, r)
+        expect = window_coords(basis, r)
+        assert cloud.coords.dtype == expect.dtype
+        assert np.array_equal(cloud.coords, expect)
+
     def test_square_windows_are_planar(self):
         with pytest.raises(TopologyMismatch):
             generate_square(hexagonal_basis(), 2.0, Topology.torus(4))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 60),
+        torus=st.booleans(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_bounds_are_column_minimum_and_spread(self, seed, size, torus):
+        rng = np.random.default_rng(seed)
+        coords = np.unique(rng.integers(-400, 400, size=(size, 2)), axis=0)  # distinct mod 997
+        topology = Topology.torus(997) if torus else Topology.plane()
+        cloud = lattice_cloud(square_basis(), topology, rng.permutation(coords))
+        lo, spread = cloud.bounds
+        assert np.array_equal(lo, cloud.coords.min(axis=0))
+        assert np.array_equal(spread, np.ptp(cloud.coords, axis=0))
+        sub = cloud.subset(np.arange(cloud.size)[::2])
+        assert np.array_equal(sub.bounds[1], np.ptp(sub.coords, axis=0))
 
     def test_duplicates_rejected(self):
         with pytest.raises(DuplicatePoints):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import kruskal
+from oracles import hex_lengths, kruskal
 
 from mstratio import constructions as cons
 from mstratio import spanning
@@ -19,6 +19,8 @@ from mstratio.lattice import (
     generate_rhombus,
     hexagonal_basis,
     lattice_cloud,
+    offset_hex,
+    offset_sq,
     pair_hex,
     pair_sq,
     square_basis,
@@ -619,3 +621,67 @@ def test_construction_trees_unchanged(descriptor, overrides, digests):
             repr([x.tolist() for x in (tree.a, tree.b, tree.sq, tree.hex)]).encode()
         ).hexdigest())
     assert found == digests
+
+
+# -- full-pair arrays: index builder and residue tables ---------------------------
+
+
+def _measured_pairs(cloud):
+    """Every pair a < b with sq and hx measured offset by offset."""
+    ia, ib = np.triu_indices(cloud.size, k=1)
+    di = cloud.coords[ib, 0] - cloud.coords[ia, 0]
+    dj = cloud.coords[ib, 1] - cloud.coords[ia, 1]
+    return ia, ib, offset_sq(cloud.basis, cloud.topology, di, dj), offset_hex(cloud.topology, di, dj)
+
+
+def _assert_same_arrays(got, expect):
+    for g, e in zip(got, expect, strict=True):
+        assert g.dtype == e.dtype
+        assert np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("v", range(26))
+def test_pair_index_is_triu_indices(v):
+    _assert_same_arrays(spanning._pair_index(v), np.triu_indices(v, k=1))
+
+
+def test_cached_pair_tables_are_read_only():
+    tables = spanning._pair_index(7) + spanning._residue_measures(SKEWED, Topology.torus(6))
+    for arr in tables:
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+@pytest.mark.parametrize("basis_name", sorted(KEY_BASES))
+@pytest.mark.parametrize("hexagonal", [False, True], ids=["euclidean", "hex"])
+def test_residue_gather_matches_measured_pairs(basis_name, hexagonal):
+    """The points (i, 0), (0, j) and (1, 1) of the n-torus differ by every
+    residue, the self-inverse ones of even n included, and have more pairs
+    than residues, so they gather from the table; n of them have fewer pairs
+    and are measured directly.  Both give the arrays of measuring every pair,
+    and hx is the torus norm."""
+    basis = KEY_BASES[basis_name]
+    for n in range(2, 31):
+        axes = [(i, 0) for i in range(n)] + [(0, j) for j in range(1, n)] + [(1, 1)]
+        cloud = lattice_cloud(basis, Topology.torus(n), axes)
+        metric = Metric.hexagonal(cloud.topology) if hexagonal else Metric.euclidean(cloud.topology)
+        assert n * n <= cloud.size * (cloud.size - 1) // 2
+        for part in (cloud, cloud.subset(np.arange(n))):
+            got = spanning._full_pair_arrays(part, metric)
+            _assert_same_arrays(got, _measured_pairs(part))
+            assert np.array_equal(got[3], hex_lengths(part, got[0], got[1]))
+
+
+@given(
+    basis_name=st.sampled_from(sorted(KEY_BASES)),
+    n=st.integers(2, 30),
+    keep=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_sampled_torus_pair_arrays_match_measured_pairs(basis_name, n, keep, seed):
+    cloud = generate_rhombus(KEY_BASES[basis_name], n, Topology.torus(n))
+    rng = np.random.default_rng(seed)
+    cloud = cloud.subset(rng.permutation(np.flatnonzero(rng.random(cloud.size) < keep)))
+    got = spanning._full_pair_arrays(cloud, Metric.euclidean(cloud.topology))
+    _assert_same_arrays(got, _measured_pairs(cloud))
