@@ -34,7 +34,8 @@ class ZeroDenominator(MstRatioError):
 
 
 class TooLarge(MstRatioError):
-    """Exhaustive enumeration refused above the configured size cap."""
+    """An input refused above a size cap: exhaustive enumeration, or
+    candidate keys wider than 63 bits."""
 
 
 class StaleCache(MstRatioError):

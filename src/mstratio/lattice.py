@@ -496,9 +496,9 @@ def cloud_to_doc(cloud: PointCloud, colors=None) -> dict:
 def cloud_from_doc(doc: dict) -> tuple[PointCloud, list[int] | None]:
     basis = Basis(tuple(doc["basis"]["u"]), tuple(doc["basis"]["v"]))
     topo = doc.get("topology", {"type": "plane"})
-    topology = (
-        Topology.torus(topo["n"]) if topo.get("type") == "torus" else Topology.plane()
-    )
+    if topo.get("type") not in ("plane", "torus"):
+        raise MstRatioError(f"topology type must be 'plane' or 'torus', not {topo.get('type')!r}")
+    topology = Topology.torus(topo["n"]) if topo["type"] == "torus" else Topology.plane()
     coords = doc.get("coords")
     if coords is not None:
         cloud = lattice_cloud(basis, topology, coords)

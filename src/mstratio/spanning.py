@@ -32,6 +32,13 @@ keeps only the pairs that join two of them, and only those are ranked.  The
 bands are consecutive key ranges, so their tree edges, concatenated, are in
 key order.  Component labels come from the same kernel.
 
+Cutoff bands are filtered where they are generated: after each band the
+tree sends its forest into the band generator (``send(root)``), and the next
+class band drops its rows inside one component and, with c components and
+at least c² rows left, keeps only the least row of each pair of components
+(Borůvka contraction) before any key is sorted.  Plain iteration sends None
+and yields every row.
+
 Ranking is a stable sort by measure alone, because every band's rows arrive
 in (a, b) order within each measure: prefix bands come from all pairs in
 (a, b) order and boolean masks keep that order, and a cutoff band, one
@@ -50,7 +57,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import lattice
-from .errors import InvariantViolation, NotHexagonal
+from .errors import InvariantViolation, NotHexagonal, TooLarge
 from .lattice import Metric, PointCloud
 
 _FULL_PAIR_LIMIT = 420  # below this, all pairs are enumerated directly
@@ -197,17 +204,20 @@ def _grow(n_points: int, bands, hex_primary: bool, ranked: bool = False) -> tupl
     """Tree edges (a, b, sq, hx) in key order, grown over bands of candidates
     that are consecutive key ranges.
 
-    Each band keeps only the pairs that join two components of the forest so
-    far, and only those are ranked, unless the bands arrive ``ranked`` (in key
-    order, as cutoff bands do; the filter keeps that order).
+    After each band the forest so far goes back to the band generator as
+    ``bands.send(root)``.  Unless the bands arrive ``ranked`` (in key order,
+    and filtered by that forest, as cutoff bands do), each band keeps only
+    the pairs that join two components of the forest, and only those are
+    ranked.
     """
     root = np.arange(n_points)
     forest = []  # tree edges of each band, each in key order
     found = 0
-    for band in bands:
-        if found:
-            band = _select(band, root[band[0]] != root[band[1]])
+    band = next(bands, None)
+    while band is not None:
         if not ranked:
+            if found:
+                band = _select(band, root[band[0]] != root[band[1]])
             band = _rank(*band, hex_primary)
         pos, root = _boruvka(n_points, band[0], band[1], root)
         forest.append(_select(band, pos))
@@ -216,6 +226,10 @@ def _grow(n_points: int, bands, hex_primary: bool, ranked: bool = False) -> tupl
             if len(forest) == 1:
                 return forest[0]
             return tuple(None if col[0] is None else np.concatenate(col) for col in zip(*forest))
+        try:
+            band = bands.send(root)
+        except StopIteration:
+            band = None
     raise InvariantViolation("candidate edges ran out before the tree spanned")
 
 
@@ -349,18 +363,18 @@ def _offsets(cloud: PointCloud, sq_cut: float, hex_cut: int | None, floor) -> tu
 def _key_shifts(n_points: int, n_offsets: int) -> tuple[int, int, int]:
     """Bit shifts of the class, a and b fields of a candidate key whose lowest
     bits hold the offset index, for ``n_points`` points and ``n_offsets``
-    offsets (at most as many classes); InvariantViolation if a key would not
-    fit in 63 bits."""
+    offsets (at most as many classes); TooLarge if a key would not fit in 63
+    bits."""
     v_bits = max(n_points - 1, 1).bit_length()
     k_bits = max(n_offsets - 1, 1).bit_length()
     if 2 * v_bits + 2 * k_bits > 63:
-        raise InvariantViolation(
+        raise TooLarge(
             f"candidate keys of {n_points} points and {n_offsets} offsets exceed 63 bits"
         )
     return k_bits + 2 * v_bits, k_bits + v_bits, k_bits
 
 
-def _round_bands(cloud: PointCloud, metric: Metric, sq_cut, hex_cut, floor):
+def _round_bands(cloud: PointCloud, metric: Metric, sq_cut, hex_cut, floor, root=None):
     """Candidate edges (a, b, sq, hx) of one cutoff round, one row per
     unordered pair, whose primary measure lies above ``floor``: one band per
     measure class, in increasing measure, each band in key order.
@@ -382,11 +396,16 @@ def _round_bands(cloud: PointCloud, metric: Metric, sq_cut, hex_cut, floor):
     together, only once the band before it has been taken, and one sort of
     their keys puts the rows in key order.  The offset index never decides it
     (each pair occurs once) and only recovers the row's measures.
+
+    A forest, as ``_boruvka``'s ``root``, may be passed in and sent after
+    each band; the round returns the last one.  With a forest, each class
+    band keeps only its rows that join two components, contracted by
+    ``_contract``, before its keys are sorted.
     """
     torus, n = cloud.topology.is_torus, cloud.topology.n
     di, dj, off_sq, off_hx = _offsets(cloud, sq_cut, hex_cut, floor)
     if not len(di):
-        return
+        return root
     if torus:
         di, dj = (np.where(2 * x > n, x - n, x) for x in (di, dj))  # the residue nearest 0
         lo, extent = (0, 0), np.array([n, n])
@@ -415,17 +434,49 @@ def _round_bands(cloud: PointCloud, metric: Metric, sq_cut, hex_cut, floor):
     head = (cls << c_shift) | np.arange(k)
     step = di * shape[1] + dj  # each offset's step in the flat grid
     twice = ((2 * di) % n == 0) & ((2 * dj) % n == 0) if torus else np.zeros(k, dtype=bool)
-    order = np.argsort(cls, kind="stable")  # the offsets grouped by class
-    ends = np.cumsum(np.bincount(cls)).tolist()
-    for lo, hi in zip([0] + ends[:-1], ends):
-        o = order[lo:hi]
+
+    def band(o):  # the offsets o of one class; its temporaries die before the yield
         nb = grid[cell + step[o, None]]  # row j: the point each point meets by offset o[j]
         j, p = ((nb > idx) | ((nb >= 0) & ~twice[o, None])).nonzero()
         q = nb[j, p]
-        key = (np.minimum(p, q) << a_shift) | (np.maximum(p, q) << b_shift) | head[o[j]]
+        del nb
+        key = np.minimum(p, q) << a_shift
+        key |= np.maximum(p, q) << b_shift
+        key |= head[o[j]]
+        if root is not None:
+            rp, rq = root[p], root[q]
+            del j, p, q
+            cross = rp != rq
+            key, rp, rq = key[cross], rp[cross], rq[cross]
+            key = _contract(key, rp, rq, root)
         key.sort()
         off = key & ((1 << b_shift) - 1)
-        yield (key >> a_shift) & v_mask, (key >> b_shift) & v_mask, off_sq[off], off_hx[off]
+        return (key >> a_shift) & v_mask, (key >> b_shift) & v_mask, off_sq[off], off_hx[off]
+
+    order = np.argsort(cls, kind="stable")  # the offsets grouped by class
+    ends = np.cumsum(np.bincount(cls)).tolist()
+    for lo, hi in zip([0] + ends[:-1], ends):
+        root = yield band(order[lo:hi])
+    return root
+
+
+def _contract(key: np.ndarray, rp: np.ndarray, rq: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Of the keys of rows that join two components (roots ``rp``, ``rq`` in
+    ``root``), the least for each pair of components if there are c
+    components and at least c² rows, else all.  Exact within one key range:
+    once its least X-Y row is taken, no later X-Y row can join the tree."""
+    if len(key) < 4:  # c >= 2 once any row joins two components
+        return key
+    rep = root == np.arange(len(root))
+    c = int(np.count_nonzero(rep))
+    if c * c > len(key):
+        return key
+    comp = np.cumsum(rep) - 1  # component ids 0 .. c - 1 at the representatives
+    pair = np.minimum(comp[rp], comp[rq]) * c
+    pair += np.maximum(comp[rp], comp[rq])
+    least = np.full(c * c, np.iinfo(np.int64).max)
+    np.minimum.at(least, pair, key)
+    return least[least < np.iinfo(np.int64).max]
 
 
 def _lattice_candidates(
@@ -460,13 +511,14 @@ def _cutoff_bands(cloud: PointCloud, metric: Metric):
     """Candidates of each cutoff round, one measure class at a time, the
     cutoff growing fourfold (hex cutoffs twofold) until it is at least the
     largest measure in the cloud, which is measured only if a round ends
-    without the tree spanning."""
+    without the tree spanning.  A forest sent in goes to the round's bands,
+    and the last one a round held starts the next round."""
     hex_primary = metric.is_hex
     cut, growth = (3, 2) if hex_primary else (_seed_cutoff(cloud.basis), 4)
-    floor, top = -math.inf, None
+    floor, top, root = -math.inf, None, None
     while True:
         cuts = (None, cut) if hex_primary else (cut, None)
-        yield from _round_bands(cloud, metric, *cuts, floor)
+        root = yield from _round_bands(cloud, metric, *cuts, floor, root)
         top = _largest_measure(cloud, hex_primary) if top is None else top
         if cut >= top:
             return

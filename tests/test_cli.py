@@ -453,6 +453,24 @@ class TestTypedInputs:
         assert code == 3 and captured.out == ""
         assert "colors must be a flat list" in captured.err
 
+    @pytest.mark.parametrize("topology", [{"type": "sphere"}, {"type": "Torus", "n": 4}, {}],
+                             ids=["sphere", "capitalized", "no-type"])
+    def test_unknown_topology_type_exits_three(self, capsys, tmp_path, topology):
+        doc = {
+            "basis": {"u": [1.0, 0.0], "v": [0.0, 1.0]},
+            "coords": [[0, 0], [1, 0], [0, 1]],
+            "colors": [0, 1, 1],
+        }
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(doc))
+        assert main(["ratio", "--in", str(path)]) == 0  # no topology reads as the plane
+        capsys.readouterr()
+        path.write_text(json.dumps({**doc, "topology": topology}))
+        code = main(["ratio", "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "topology type must be 'plane' or 'torus'" in captured.err
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_cartesian_document_exits_three(self, capsys, tmp_path, bad):
         doc = {

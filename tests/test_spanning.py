@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from oracles import hex_lengths, kruskal
 
 from mstratio import constructions as cons
 from mstratio import spanning
-from mstratio.errors import InvariantViolation, NotHexagonal, TopologyMismatch
+from mstratio.errors import InvariantViolation, NotHexagonal, TooLarge, TopologyMismatch
 from mstratio.lattice import (
     Basis,
     Metric,
@@ -488,9 +489,12 @@ def test_candidate_key_width_guard():
     # class, a, b and offset index in 2 * 17 + 2 * 9 = 52 bits
     assert spanning._key_shifts(128_783, 400) == (43, 26, 9)
     assert spanning._key_shifts(2**24, 2**7) == (55, 31, 7)  # 62 bits
-    for points, offsets in ((2**24 + 1, 2**7), (2**24, 2**7 + 1), (2**30, 400)):
-        with pytest.raises(InvariantViolation, match="63 bits"):
+    assert spanning._key_shifts(2**23, 2**8) == (54, 31, 8)  # 62 bits
+    # a size limit of the input (exit 3), not a failed invariant (exit 6)
+    for points, offsets in ((2**24 + 1, 2**7), (2**24, 2**7 + 1), (2**23 + 1, 2**8 + 1), (2**30, 400)):
+        with pytest.raises(TooLarge, match="63 bits") as err:
             spanning._key_shifts(points, offsets)
+        assert not isinstance(err.value, InvariantViolation)
 
 
 # -- class bands of a cutoff round ------------------------------------------------
@@ -590,6 +594,25 @@ def test_tree_stops_at_the_class_that_spans(monkeypatch):
     seed = spanning._seed_cutoff(cloud.basis)
     assert len(spanning._lattice_candidates(cloud, Metric.EUCLIDEAN_TORUS, seed, None)[0]) == 18 * 576
     assert tree.edge_count == 575 and (tree.sq == 1.0).all()
+
+
+def test_stretched_tree_peak_memory():
+    # 128,783 points in 223 columns: the first class band joins each column,
+    # and the later bands reach Borůvka contracted to at most one row per
+    # pair of columns instead of 256k rows, which bounds the traced peak
+    cloud = cons.stretched_hex(500)[0]
+    tracemalloc.start()
+    try:
+        tree = mst(cloud, Metric.EUCLIDEAN_PLANE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45e6
+    # the same tree as one grown over every row of every band
+    bands = (band for band in spanning._cutoff_bands(cloud, Metric.EUCLIDEAN_PLANE))
+    plain = spanning._grow(cloud.size, bands, False, ranked=True)
+    for got, want in zip((tree.a, tree.b, tree.sq, tree.hex), plain):
+        assert np.array_equal(got, want)
 
 
 # sha256 of the (a, b, sq, hex) arrays of each class tree and the whole

@@ -124,6 +124,103 @@ def test_growth_across_clusters_matches_oracle(topology, hex_metric, monkeypatch
     assert len(starts) > 1 and starts[1] == 2
 
 
+def strips(topology, count: int):
+    """``count`` strips of the hexagonal lattice, 480 points in all, 30 wide
+    and 12 rows apart: the first round spans each strip, and the class that
+    joins neighbouring strips meets every column."""
+    rows = 480 // (30 * count)
+    strip = [(i, j) for i in range(30) for j in range(rows)]
+    return lattice_cloud(
+        hexagonal_basis(), topology, [(i, j + s * (rows + 12)) for s in range(count) for i, j in strip]
+    )
+
+
+def assert_contraction_exact(cloud, metric):
+    # the cutoff path's tree, from bands filtered and contracted by the forest
+    # sent in, equals one grown over the same bands iterated without send
+    # (every row), and both equal the oracle
+    assert cloud.size > spanning._FULL_PAIR_LIMIT
+    tree = spanning._mst_arrays(cloud, metric)
+    plain = (band for band in spanning._cutoff_bands(cloud, metric))
+    for got, want in zip(tree, spanning._grow(cloud.size, plain, metric.is_hex, ranked=True)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert list(zip(*(col.tolist() for col in tree))) == kruskal(cloud, metric)
+
+
+@given(
+    basis_name=st.sampled_from(sorted(BASES)),
+    torus=st.booleans(),
+    n=st.integers(21, 30),
+    keep=st.floats(0.45, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    hex_metric=st.booleans(),
+)
+@settings(max_examples=10, deadline=None)
+def test_contracted_bands_grow_the_same_tree(basis_name, torus, n, keep, seed, hex_metric):
+    cloud = random_cloud(basis_name, torus, n, keep, seed)
+    assume(spanning._FULL_PAIR_LIMIT < cloud.size <= 650)
+    assert_contraction_exact(cloud, metric_of(cloud, hex_metric))
+
+
+@pytest.mark.parametrize("build", [two_clusters, lambda t: strips(t, 2), lambda t: strips(t, 4)],
+                         ids=["two-clusters", "two-strips", "four-strips"])
+@pytest.mark.parametrize("topology", [Topology.plane(), Topology.torus(64)], ids=["plane", "torus"])
+@pytest.mark.parametrize("hex_metric", [False, True])
+def test_contracted_bands_on_clusters(build, topology, hex_metric):
+    # later rounds start from a few components
+    cloud = build(topology)
+    assert_contraction_exact(cloud, Metric.hexagonal(topology) if hex_metric else Metric.euclidean(topology))
+
+
+@given(
+    skew=st.integers(2, 40),
+    dy=st.floats(0.005, 0.5),
+    torus=st.booleans(),
+    drop=st.integers(0, 10),
+    hex_metric=st.booleans(),
+)
+@settings(max_examples=6, deadline=None)
+def test_contracted_bands_on_skewed_bases(skew, dy, torus, drop, hex_metric):
+    cloud = collapsed_cloud(skew, 0.25, dy, 2, torus, 5, drop)
+    assert_contraction_exact(cloud, Metric.hexagonal(cloud.topology) if hex_metric else Metric.euclidean(cloud.topology))
+
+
+@pytest.mark.parametrize("count", [2, 4])
+@pytest.mark.parametrize("topology", [Topology.plane(), Topology.torus(64)], ids=["plane", "torus"])
+@pytest.mark.parametrize("hex_metric", [False, True])
+def test_joining_band_reaches_boruvka_as_one_row_per_pair(count, topology, hex_metric, monkeypatch):
+    cloud = strips(topology, count)
+    metric = Metric.hexagonal(topology) if hex_metric else Metric.euclidean(topology)
+    boruvka = spanning._boruvka
+
+    def joining(bands):
+        # the rows and the component pairs of the band that joins the strips,
+        # and whether every band's rows join two components
+        joins, crossing = [], []
+
+        def counting(n_points, a, b, root):
+            pos, after = boruvka(n_points, a, b, root)
+            if len(np.unique(root)) == count and len(np.unique(after)) == 1:
+                ra, rb = root[a], root[b]
+                joins.append((len(a), len(set(zip(np.minimum(ra, rb).tolist(), np.maximum(ra, rb).tolist())))))
+            crossing.append(bool((root[a] != root[b]).all()))
+            return pos, after
+
+        monkeypatch.setattr(spanning, "_boruvka", counting)
+        tree = spanning._grow(cloud.size, bands, metric.is_hex, ranked=True)
+        monkeypatch.undo()
+        return tree, joins, all(crossing)
+
+    tree, joins, crossing = joining(spanning._cutoff_bands(cloud, metric))
+    plain, plain_joins, plain_crossing = joining(band for band in spanning._cutoff_bands(cloud, metric))
+    # neighbouring strips, and on the torus the last and the first, once more
+    pairs = count if topology.is_torus and count > 2 else count - 1
+    assert joins == [(pairs, pairs)] and crossing
+    assert len(plain_joins) == 1 and plain_joins[0][0] >= 30 * pairs and not plain_crossing
+    for got, want in zip(tree, plain):
+        assert np.array_equal(got, want)
+
+
 def test_seed_cutoff_uses_shortest_vector():
     # (10.01, 0.1) - 10·(1, 0) = (0.01, 0.1) is far shorter than u
     sheared = Basis((1.0, 0.0), (10.01, 0.1))
