@@ -82,6 +82,8 @@ def _instance(args):
             colors = integral(colors, "color")
             if colors.ndim != 1:
                 raise MstRatioError("colors must be a flat list of integers")
+            if np.any(colors >= cloud.size):  # a class index of V or more names an empty class
+                raise MstRatioError(f"colors must be below the point count {cloud.size}")
             coloring = Coloring(colors, max(2, int(colors.max(initial=0)) + 1))
         metric = Metric.euclidean(cloud.topology)
         closed = None

@@ -18,13 +18,15 @@ level.  The depth is read off the longest tree edge.
 
 Thickenings are exact unit-triangle sets on the torus, and backyards are the
 edge-connected components of their complement; both are computed on the
-torus's (n, n, 2) triangle array.
+torus's (n, n, 2) triangle array.  Each level's coverage costs one dilation of
+an n x n image, so memory is O(n²) per level whatever the points and the level.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import islice
 
 import numpy as np
 
@@ -86,29 +88,32 @@ def _tri_tuples(flat: np.ndarray, n: int) -> list[Tri]:
     return list(zip(i.tolist(), j.tolist(), o.tolist()))
 
 
-@lru_cache(maxsize=None)
-def _hex_disk_triangles(k: int) -> np.ndarray:
-    """The 6k² unit triangles (di, dj, o) of the hexagonal disk of radius k at the origin."""
-    r = np.arange(-k - 1, k + 1)
-    i, j, o = (x.ravel() for x in np.meshgrid(r, r, (0, 1), indexing="ij"))
-    # vertices (i+1, j) and (i, j+1) are shared; the third is (i+o, j+o)
-    far = np.maximum(
-        lattice.hex_distance_arr(i + 1, j),
-        np.maximum(lattice.hex_distance_arr(i, j + 1), lattice.hex_distance_arr(i + o, j + o)),
-    )
-    disk = np.column_stack([i, j, o])[far <= k]
-    disk.setflags(write=False)
-    return disk
+def _covers(cloud: PointCloud, blue):
+    """Yield, for k = 1, 2, ..., an (n, n, 2) triangle array: 1 + the index into
+    ``blue`` of a point whose k-disk holds the triangle, or 0 where none does.
+
+    A k-disk holds a triangle when it holds its three vertices, so the centres
+    covering (i, j, 0) are (i, j) + B(k-1) + {(0,0), (1,0), (0,1)} and those
+    covering (i, j, 1) are (i, j) + B(k-1) + {(1,0), (0,1), (1,1)}, where the
+    hexagonal ball B(k) = B(k-1) + B(1) grows by one dilation per level.  Centres
+    covering one triangle lie within hexagonal distance 2k-1, so share a room.
+    """
+    ball = np.zeros((cloud.topology.n,) * 2, dtype=np.int64)  # max over (i, j) + B(k-1)
+    i, j = cloud.coords[np.asarray(blue, dtype=np.int64)].T
+    ball[i, j] = np.arange(1, len(i) + 1)
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))  # B(1) without the origin
+    while True:
+        right, up = np.roll(ball, -1, axis=0), np.roll(ball, -1, axis=1)
+        shared, far = np.maximum(right, up), np.roll(right, -1, axis=1)
+        yield np.stack([np.maximum(shared, ball), np.maximum(shared, far)], axis=-1)
+        ball = reduce(np.maximum, (np.roll(ball, s, axis=(0, 1)) for s in steps), ball)
 
 
-def _disk_cells(cloud: PointCloud, blue, k: int) -> np.ndarray:
-    """Flat indices of the k-disk triangles around each blue point, shape (m, 6k²)."""
-    n = cloud.topology.n
-    disk = _hex_disk_triangles(k)
-    centers = cloud.coords[np.asarray(blue, dtype=np.int64)]
-    i = (centers[:, :1] + disk[:, 0]) % n
-    j = (centers[:, 1:] + disk[:, 1]) % n
-    return (i * n + j) * 2 + disk[:, 2]
+def _regions(labels: np.ndarray, n: int) -> list[frozenset[Tri]]:
+    """Triangles of each label 0, 1, ... in a flat triangle array (-1 is unlabelled)."""
+    flat = np.flatnonzero(labels >= 0)
+    tris = _tri_tuples(flat, n)
+    return [frozenset(tris[i] for i in g) for g in spanning.label_groups(labels[flat])]
 
 
 def _triangle_components(mask: np.ndarray, n: int) -> np.ndarray:
@@ -137,10 +142,7 @@ class TriangleRegion:
         if self.triangles:
             i, j, o = np.array(list(self.triangles), dtype=np.int64).T
             mask[(i * n + j) * 2 + o] = True
-        flat = np.flatnonzero(mask)
-        tris = _tri_tuples(flat, n)
-        groups = spanning.label_groups(_triangle_components(mask, n)[flat])
-        return [frozenset(tris[i] for i in g) for g in groups]
+        return _regions(_triangle_components(mask, n), n)
 
     def boundary_edges(self) -> set[frozenset]:
         out = set()
@@ -158,6 +160,8 @@ class TriangleRegion:
 
 
 def _require_torus(cloud: PointCloud, k: int) -> int:
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if not cloud.topology.is_torus or cloud.coords is None:
         raise TopologyMismatch("thickenings live on the hexagonal torus")
     n = cloud.topology.n
@@ -168,14 +172,12 @@ def _require_torus(cloud: PointCloud, k: int) -> int:
 
 def thickening(cloud: PointCloud, blue, k: int) -> TriangleRegion:
     """Union of the hexagonal k-disks centered at the selected points."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     n = _require_torus(cloud, k)
     blue = list(blue)
     if not blue:
         raise EmptySet("thickening of an empty set")
-    cells = np.unique(_disk_cells(cloud, blue, k))
-    return TriangleRegion(n, frozenset(_tri_tuples(cells, n)))
+    cover = next(islice(_covers(cloud, blue), k - 1, None))
+    return TriangleRegion(n, frozenset(_tri_tuples(np.flatnonzero(cover), n)))
 
 
 # -- levels from the hex MST ----------------------------------------------------
@@ -257,24 +259,22 @@ def habitat_summary(cloud: PointCloud, blue, k_max: int = 1) -> HabitatSummary:
     _require_torus(cloud, k_max)
     tree = _HexTree(cloud, blue)
     levels: dict[int, HabitatLevel] = {}
-    for k in range(1, k_max + 1):
+    for k, cover in zip(range(1, k_max + 1), _covers(cloud, blue)):
         counts = [tree.count(k, kind) for kind in ("rooms", "houses", "blocks", "compounds")]
-        yard, yard_house, stride = _yard_codes(cloud, blue, k, tree.labels(k, "houses"))
+        yard, yard_house, stride = _yard_codes(cover, tree.labels(k, "houses"))
         adjacent = np.bincount(yard_house // stride, minlength=yard.max() + 1)
         beta = int((adjacent >= 3).sum())
         levels[k] = HabitatLevel(*counts, len(adjacent) - beta, beta)
     return HabitatSummary(levels, tree.depth())
 
 
-def _yard_codes(cloud: PointCloud, blue: list[int], k: int, houses: np.ndarray) -> tuple:
+def _yard_codes(cover: np.ndarray, houses: np.ndarray) -> tuple:
     """Backyard label of each triangle (-1 on the thickening), the sorted codes
     yard * stride + house of each backyard and house that share a triangle
-    edge, and the stride; ``houses`` labels the sorted blue points."""
-    n = cloud.topology.n
-    cells = _disk_cells(cloud, blue, k)
-    # overlapping disks share a room, so every covered triangle has one house
-    house = np.full(2 * n * n, -1, dtype=np.int64)
-    house[cells] = np.broadcast_to(np.asarray(houses)[:, None], cells.shape)
+    edge, and the stride; ``cover`` is a level of ``_covers`` and ``houses``
+    labels the points it indexes."""
+    n = len(cover)
+    house = np.append(-1, houses)[cover.ravel()]
     background = house < 0
     yard = _triangle_components(background, n)
     stride = int(house.max()) + 1
@@ -297,14 +297,12 @@ def backyards(cloud: PointCloud, blue, k: int):
     n = _require_torus(cloud, k)
     if not blue:
         raise EmptySet("backyards of an empty set")
-    yard, yard_house, stride = _yard_codes(cloud, blue, k, house_labels(cloud, blue, k))
-    flat = np.flatnonzero(yard >= 0)
-    tris, owners = _tri_tuples(flat, n), (yard_house % stride).tolist()
+    cover = next(islice(_covers(cloud, blue), k - 1, None))
+    yard, yard_house, stride = _yard_codes(cover, house_labels(cloud, blue, k))
+    owners = (yard_house % stride).tolist()
     out = [
-        (frozenset(tris[i] for i in members), {owners[i] for i in adj})
-        for members, adj in zip(
-            spanning.label_groups(yard[flat]), spanning.label_groups(yard_house // stride)
-        )
+        (members, {owners[i] for i in adj})
+        for members, adj in zip(_regions(yard, n), spanning.label_groups(yard_house // stride))
     ]
     beta = sum(len(adj) >= 3 for _, adj in out)
     return len(out) - beta, beta, out
@@ -318,10 +316,11 @@ def check_backyard_bound(summary: HabitatSummary, k: int) -> bool:
 
 def room_regions(cloud: PointCloud, blue, k: int) -> list[TriangleRegion]:
     """Thickening of each room separately (frontiers are per-room notions)."""
-    blue = np.array(sorted(int(p) for p in blue), dtype=np.int64)
-    _require_torus(cloud, k)
-    labels = _HexTree(cloud, blue).labels(k, "rooms")
-    return [thickening(cloud, blue[g].tolist(), k) for g in spanning.label_groups(labels)]
+    blue = sorted(int(p) for p in blue)
+    n = _require_torus(cloud, k)
+    rooms = _HexTree(cloud, blue).labels(k, "rooms")
+    cover = next(islice(_covers(cloud, blue), k - 1, None))
+    return [TriangleRegion(n, r) for r in _regions(np.append(-1, rooms)[cover.ravel()], n)]
 
 
 # -- edge-cost table -------------------------------------------------------------

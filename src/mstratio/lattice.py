@@ -75,6 +75,8 @@ class Basis:
         if abs(_det2(u, v)) <= EPS_DET:
             raise DegenerateBasis(f"det {u}, {v} below {EPS_DET}")
         g2 = (2.0 * _dot(u, u), 2.0 * _dot(u, v), 2.0 * _dot(v, v))
+        if not all(map(math.isfinite, g2)):
+            raise DegenerateBasis(f"Gram entries of {u}, {v} are not finite")
         snapped = tuple(round(x) for x in g2)
         exact = all(abs(x - s) < _GRAM_SNAP for x, s in zip(g2, snapped))
         object.__setattr__(self, "_g2", snapped if exact else g2)
@@ -277,6 +279,9 @@ class PointCloud:
                 raise TopologyMismatch("cartesian-only clouds must be planar")
             if not np.isfinite(cart).all():
                 raise MstRatioError("cartesian coordinates must be finite")
+            with np.errstate(over="ignore"):  # bounds every squared pair difference
+                if len(cart) and not np.isfinite(np.sum(np.ptp(cart, axis=0) ** 2)):
+                    raise MstRatioError("squared cartesian spreads must be finite")
             if not _distinct_rows(cart):
                 raise DuplicatePoints("coincident cartesian points")
         self.cartesian.setflags(write=False)

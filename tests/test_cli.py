@@ -486,6 +486,54 @@ class TestTypedInputs:
         assert code == 3 and captured.out == ""
         assert "cartesian coordinates must be finite" in captured.err
 
+    @pytest.mark.parametrize("colors", [[0, 1, 3], [0, 1, 100000], [0, 1, 10**9]])
+    def test_color_of_point_count_or_more_exits_three(self, capsys, tmp_path, colors):
+        doc = {
+            "basis": {"u": [1.0, 0.0], "v": [0.0, 1.0]},
+            "coords": [[0, 0], [1, 0], [0, 1]],
+            "colors": colors,
+        }
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(doc))
+        code = main(["ratio", "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: colors must be below the point count 3\n"
+
+    @pytest.mark.parametrize("u", [[1e200, 0.0], [1e154, 0.0], [math.nan, 0.0]],
+                             ids=["1e200", "1e154", "nan"])
+    def test_non_finite_gram_document_exits_three(self, capsys, tmp_path, u):
+        doc = {
+            "basis": {"u": u, "v": [0.0, 1.0]},
+            "coords": [[0, 0], [1, 0], [0, 1]],
+            "colors": [0, 1, 1],
+        }
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(doc))
+        code = main(["ratio", "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: Gram entries of ")
+        assert "are not finite" in captured.err
+
+    def test_cartesian_spread_overflow_exits_three(self, capsys, tmp_path):
+        doc = {
+            "basis": {"u": [1.0, 0.0], "v": [0.0, 1.0]},
+            "coords": None,
+            "cartesian": [[0.0, 0.0], [1e153, 0.0], [0.0, 1.0]],
+            "colors": [0, 1, 1],
+        }
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "ratio", "--in", str(path))
+        assert code == 0 and json.loads(out)["len_total"] == 1e153
+        doc["cartesian"][1][0] = 1e200
+        path.write_text(json.dumps(doc))
+        code = main(["ratio", "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: squared cartesian spreads must be finite\n"
+
     def test_integral_float_colors_accepted(self, capsys, tmp_path):
         doc = {
             "basis": {"u": [1.0, 0.0], "v": [0.0, 1.0]},

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mstratio import audits, habitat, lattice, spanning
 from mstratio.constructions import packing_coloring
@@ -141,7 +144,7 @@ def _partition(labels):
 class TestThickening:
     def test_disk_triangle_counts(self):
         for k in (1, 2, 3, 4):
-            assert len(habitat._hex_disk_triangles(k)) == 6 * k * k
+            assert len(habitat.thickening(torus(17), [0], k)) == 6 * k * k
 
     def test_single_point_hexagon(self):
         region = habitat.thickening(torus(8), [0], 1)
@@ -181,6 +184,45 @@ class TestThickening:
     def test_empty_set(self):
         with pytest.raises(EmptySet):
             habitat.thickening(torus(8), [], 1)
+
+    @pytest.mark.parametrize("level", [
+        habitat.thickening, habitat.backyards, habitat.room_regions, habitat.house_labels,
+        habitat.habitat_summary,
+    ])
+    def test_levels_start_at_one(self, level):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            level(torus(9), [0, 5], 0)
+
+
+class TestCovers:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(9, 40), st.integers(0, 2**32 - 1))
+    def test_each_level_matches_the_disk_reference(self, n, seed):
+        rng = np.random.default_rng(seed)
+        cloud = torus(n)
+        # few points on the large tori keep the per-point reference cheap
+        blue = rng.choice(cloud.size, int(rng.integers(1, max(2, 160 // n))), replace=False)
+        covers = habitat._covers(cloud, blue.tolist())
+        for k, cover in zip(range(1, (n - 1) // 4 + 1), covers):
+            disks = [_reference_triangles(cloud, [p], k) for p in blue]
+            assert cover.shape == (n, n, 2)
+            tris = [tuple(t) for t in np.argwhere(cover).tolist()]
+            assert set(tris) == set().union(*disks)
+            assert all(t in disks[cover[t] - 1] for t in tris)
+
+    def test_packing_summary_on_torus200_stays_small(self):
+        cloud = torus(200)
+        blue = [int(i) for i in packing_coloring(cloud, "quarter").class_indices(0)]
+        tracemalloc.start()
+        try:
+            summary = habitat.habitat_summary(cloud, blue, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+        assert summary.depth == 1
+        assert summary.levels[1] == habitat.HabitatLevel(10_000, 10_000, 1, 1, 0, 20_000)
+        assert all(summary.levels[k] == habitat.HabitatLevel(1, 1, 1, 1, 0, 0) for k in range(2, 13))
 
 
 class TestHabitatSummary:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,11 @@ class TestMakeBasis:
     def test_parallel_vectors_rejected(self):
         with pytest.raises(DegenerateBasis):
             make_basis((1.0, 0.0), (1.0, 0.0))
+
+    @pytest.mark.parametrize("u", [(1e200, 0.0), (1e154, 0.0), (math.nan, 0.0), (math.inf, 0.0)])
+    def test_non_finite_gram_rejected(self, u):
+        with pytest.raises(DegenerateBasis, match="Gram entries .* are not finite"):
+            Basis(u, (0.0, 1.0))
 
     def test_reduction_spans_same_lattice(self):
         raw = Basis((1.0, 0.0), (5.0, 1.0))
@@ -172,6 +178,16 @@ class TestGeneration:
             cloud_from_cartesian([[0.0, -0.0], [-0.0, 0.0]])
         assert cloud_from_cartesian([[0.0, -0.0], [-0.0, 1.0]]).size == 2
         assert cloud_from_cartesian([]).size == 0
+
+    def test_cartesian_spread_must_square_to_a_finite_value(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for far in (1e200, 1.5e154, -1e200):
+                with pytest.raises(MstRatioError, match="squared cartesian spreads"):
+                    cloud_from_cartesian([[0.0, 0.0], [far, 0.0], [0.0, 1.0]])
+            assert cloud_from_cartesian([[0.0, 0.0], [1e153, 0.0], [0.0, 1e153]]).size == 3
+            # the spread, not the position, is bounded
+            assert cloud_from_cartesian([[1e300, 0.0], [1e300, 1.0]]).size == 2
 
 
 class TestDistinctCoords:
