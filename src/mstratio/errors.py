@@ -34,8 +34,8 @@ class ZeroDenominator(MstRatioError):
 
 
 class TooLarge(MstRatioError):
-    """An input refused above a size cap: exhaustive enumeration, or
-    candidate keys wider than 63 bits."""
+    """An input refused above a size cap: exhaustive enumeration, lattice
+    coordinate spreads, or candidate keys wider than 63 bits."""
 
 
 class StaleCache(MstRatioError):

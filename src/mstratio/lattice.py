@@ -20,6 +20,7 @@ from .errors import (
     DuplicatePoints,
     MstRatioError,
     NotHexagonal,
+    TooLarge,
     TopologyMismatch,
 )
 
@@ -429,10 +430,19 @@ def offset_hex(topology: Topology, di: np.ndarray, dj: np.ndarray) -> np.ndarray
     return reduce(np.minimum, (hex_distance_arr(di + s, dj + t) for s, t in shifts))
 
 
-def check_topology(cloud: PointCloud, metric: Metric) -> None:
-    """Raise TopologyMismatch unless the metric measures on the cloud's topology."""
+def check_measurable(cloud: PointCloud, metric: Metric) -> None:
+    """Raise TopologyMismatch unless the metric measures on the cloud's topology,
+    and TooLarge when the largest doubled Gram entry times the squared coordinate
+    spread (at least 1; 2n on a torus, which nearest images reach) passes 2**53."""
     if metric.requires_torus != cloud.topology.is_torus:
         raise TopologyMismatch(f"{metric.value} metric on a {cloud.topology.kind} cloud")
+    if cloud.coords is None:
+        return
+    spread = 2 * cloud.topology.n if cloud.topology.is_torus else 1
+    if cloud.size and not cloud.topology.is_torus:  # int64 spreads from 2**63 on wrap below 0
+        spread = max(1, *(s % 2**64 for s in cloud.bounds[1].tolist()))
+    if spread**2 * max(map(abs, cloud.basis._g2)) > 2**53:
+        raise TooLarge(f"lattice coordinate spread {spread} is too wide for exact squared lengths")
 
 
 def _pair_offsets(rows: np.ndarray, ia, ib) -> tuple[np.ndarray, np.ndarray]:
@@ -445,7 +455,7 @@ def _pair_offsets(rows: np.ndarray, ia, ib) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_sq(cloud: PointCloud, metric: Metric, ia, ib) -> np.ndarray:
     """Squared Euclidean pair distances on the cloud's topology (vectorized)."""
-    check_topology(cloud, metric)
+    check_measurable(cloud, metric)
     if cloud.coords is None:
         dx, dy = _pair_offsets(cloud.cartesian, ia, ib)
         return dx**2 + dy**2
@@ -456,7 +466,7 @@ def pair_hex(cloud: PointCloud, metric: Metric, ia, ib) -> np.ndarray:
     """Hexagonal pair distances on the cloud's topology (vectorized)."""
     if cloud.coords is None:
         raise NotHexagonal("hexagonal distance requires lattice coordinates")
-    check_topology(cloud, metric)
+    check_measurable(cloud, metric)
     return offset_hex(cloud.topology, *_pair_offsets(cloud.coords, ia, ib))
 
 

@@ -6,13 +6,15 @@ space), a seeded simulated-annealing hill climber, and the incremental ratio
 maintenance it relies on: the denominator never changes and a single flip only
 touches two class trees.
 
-Two exact evaluators measure classes, chosen by the shape of the input.
-Batches of label rows (the exhaustive and sampled searches, the local-maximum
-check) go to `class_lengths`, a forest Prim batched over the rows.  A single
-class that the annealer's memo lacks, on a cloud of at most `_LIST_PRIM_LIMIT`
-points, goes to `_tree_length`, a Prim over Python lists: on one row the numpy
-forest Prim spends most of its time in per-call overhead.  The memo maps a
-class's membership bitmask (a Python int, bit p for point p) to its length.
+Classes are measured on one of two paths.  Up to `_LIST_PRIM_LIMIT` points
+the distance matrix is kept: batches of label rows go to `class_lengths`, a
+forest Prim batched over the rows, and one class the annealer's memo lacks to
+`_tree_length`, a Prim over Python lists (on one row the numpy Prim's time is
+per-call overhead).  Above the limit each class is one `spanning.mst`, and no
+V×V array is built.  Every path scores the `math.fsum` of the tree's weights,
+which are hexagonal lengths under a hex metric (`ratio --metric hex` reports
+Euclidean lengths of hex trees instead).  The memo maps a class's membership
+bitmask (a Python int, bit p for point p) to its length.
 """
 from __future__ import annotations
 
@@ -26,8 +28,7 @@ from .constructions import Coloring, RatioReport, supmax_check
 from .errors import InvariantViolation, MstRatioError, StaleCache, TooLarge
 from .lattice import Metric, PointCloud
 
-_DENSE_LIMIT = 1500  # cache a dense distance matrix up to this many points
-_LIST_PRIM_LIMIT = 400  # one class up to this many points is measured by `_tree_length`
+_LIST_PRIM_LIMIT = 400  # up to this many points a class is measured on the distance matrix
 _BATCH = 256  # label rows per evaluator call in the exhaustive and sampled searches
 _TIE = 1e-12  # ratios this close to the best count as tied
 _CELLS = 1 << 21  # bound on the (rows, V, V) masked distances of one evaluator pass
@@ -111,8 +112,7 @@ class RatioCache:
     metric: Metric
     class_lengths: list[float]
     len_total: float
-    dense: np.ndarray | None  # distance matrix when the cloud is small enough
-    # `dense` as lists for `_tree_length`, up to `_LIST_PRIM_LIMIT` points
+    # the distance matrix as lists, up to `_LIST_PRIM_LIMIT` points
     dense_rows: list[list[float]] | None = field(default=None, repr=False)
     # class membership bitmask -> tree length, shared by the caches of one search
     memo: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
@@ -124,20 +124,16 @@ class RatioCache:
 
 def _mask_length(cloud: PointCloud, cache: RatioCache, mask: int) -> float:
     """Tree length of the class with membership bitmask `mask`, measured once:
-    by `_tree_length` up to `_LIST_PRIM_LIMIT` points, by `class_lengths` on
-    the class's distances up to `_DENSE_LIMIT`, by one spanning tree above."""
+    by `_tree_length` up to `_LIST_PRIM_LIMIT` points, by one spanning tree
+    above (summing its hexagonal lengths under a hex metric)."""
     length = cache.memo.get(mask)
     if length is None:
         members = _members(mask)
         if cache.dense_rows is not None:
             length = _tree_length(cache.dense_rows, members)
-        elif cache.dense is None:
-            length = spanning.mst(cloud.subset(members), cache.metric).total_length
-        elif members:
-            sub = cache.dense[np.ix_(members, members)]
-            length = float(class_lengths(sub, np.zeros((1, len(members)), dtype=np.intp), 1)[0, 0])
         else:
-            length = 0.0
+            tree = spanning.mst(cloud.subset(members), cache.metric)
+            length = math.fsum(tree.hex.tolist()) if cache.metric.is_hex else tree.total_length
         cache.memo[mask] = length
     return length
 
@@ -147,17 +143,17 @@ def _lengths(cloud: PointCloud, cache: RatioCache, rows: np.ndarray) -> list[lis
     in one `class_lengths` batch when more than one row has some."""
     masks = _class_masks(rows, cache.arity)
     missing = [i for i, row in enumerate(masks) if not all(m in cache.memo for m in row)]
-    if len(missing) > 1 and cache.dense is not None:
-        fresh = class_lengths(cache.dense, rows[missing], cache.arity).tolist()
+    if len(missing) > 1 and cache.dense_rows is not None:
+        fresh = class_lengths(np.asarray(cache.dense_rows), rows[missing], cache.arity).tolist()
         for i, lengths in zip(missing, fresh):
             cache.memo.update(zip(masks[i], lengths))
     return [[_mask_length(cloud, cache, m) for m in row] for row in masks]
 
 
 def build_cache(cloud: PointCloud, coloring: Coloring, metric: Metric) -> RatioCache:
-    dense = lattice.distance_matrix(cloud, metric) if cloud.size <= _DENSE_LIMIT else None
-    rows = dense.tolist() if dense is not None and cloud.size <= _LIST_PRIM_LIMIT else None
-    cache = RatioCache(coloring.labels, coloring.arity, metric, [], math.nan, dense, rows)
+    small = cloud.size <= _LIST_PRIM_LIMIT
+    rows = lattice.distance_matrix(cloud, metric).tolist() if small else None
+    cache = RatioCache(coloring.labels, coloring.arity, metric, [], math.nan, rows)
     cache.len_total = _mask_length(cloud, cache, (1 << cloud.size) - 1)
     return _recolor(cloud, cache, coloring.labels)
 
@@ -168,22 +164,13 @@ def _recolor(cloud: PointCloud, cache: RatioCache, labels: tuple[int, ...]) -> R
     return replace(cache, labels=labels, class_lengths=lengths)
 
 
-def _flip(cloud: PointCloud, cache: RatioCache, flip: int) -> RatioCache:
-    """The cache of the coloring with one label flipped, sharing the memo."""
-    labels = list(cache.labels)
-    labels[flip] = 1 - labels[flip]
-    return _recolor(cloud, cache, tuple(labels))
-
-
-def incremental_ratio(
-    cloud: PointCloud, coloring: Coloring, cache: RatioCache, flip: int
-) -> float:
+def incremental_ratio(cloud: PointCloud, coloring: Coloring, cache: RatioCache, flip: int) -> float:
     """Ratio after flipping one label; only subsets the cache's memo lacks are evaluated."""
     if coloring.arity != 2:
         raise ValueError("single flips are a 2-class operation")
     if cache.labels != coloring.labels or cache.arity != coloring.arity:
         raise StaleCache("cache was built for a different coloring")
-    return _flip(cloud, cache, flip).ratio
+    return _recolor(cloud, cache, coloring.flipped(flip).labels).ratio
 
 
 # -- exhaustive search ---------------------------------------------------------

@@ -539,7 +539,7 @@ def mst(cloud: PointCloud, metric: Metric) -> SpanningTree:
     Hex metrics minimize hexagonal length with Euclidean tie-break;
     ``total_length`` is always the Euclidean total.
     """
-    lattice.check_topology(cloud, metric)
+    lattice.check_measurable(cloud, metric)
     if metric.is_hex and cloud.coords is None:
         raise NotHexagonal("hex trees need lattice coordinates")
     a, b, sq, hx = _mst_arrays(cloud, metric)

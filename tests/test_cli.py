@@ -1,14 +1,21 @@
 import concurrent.futures
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import kruskal
 
 from mstratio.cli import build_parser, main
+from mstratio.lattice import Metric, cloud_from_doc
 
 
 def run(capsys, *argv):
@@ -554,3 +561,116 @@ class TestTypedInputs:
         assert {name.strip("'\") \n") for name in listed.split(",")} == {
             "stretched", "quarter", "third", "seventh", "ninth", "checkerboard", "threeway"
         }
+
+
+class TestLatticeSpread:
+    """A lattice cloud whose squared offsets could pass 2**53 is refused."""
+
+    @staticmethod
+    def document(far, topology=None):
+        return {
+            "basis": {"u": [1.0, 0.0], "v": [0.0, 1.0]},
+            "topology": topology or {"type": "plane"},
+            "coords": [[0, 0], [far, 0], [0, 1]],
+            "colors": [0, 1, 1],
+        }
+
+    @pytest.mark.parametrize("doc", [
+        document(3.1e9), document(2**62), document(3.0e9),
+        document(1e9, {"type": "torus", "n": 3.1e9}),
+    ], ids=["3.1e9", "2**62", "3.0e9", "torus-3.1e9"])
+    def test_spread_overflow_exits_three(self, capsys, tmp_path, doc):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(doc))
+        code = main(["ratio", "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: lattice coordinate spread ")
+        assert captured.err.endswith("is too wide for exact squared lengths\n")
+
+    def test_spread_at_the_bound_is_exact(self, capsys, tmp_path):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(self.document(2**26)))
+        code, out = run(capsys, "ratio", "--in", str(path))
+        assert code == 0 and json.loads(out)["len_total"] == 2**26 + 1
+
+
+#: out-of-contract and boundary values for each field of a document
+_ODD = {
+    "coords": [0.5, 2**26, 3.1e9, 2**62, math.nan, math.inf],
+    "cartesian": [1e153, 1e300, math.nan, -math.inf],
+    "colors": [0.5, -1, 10**9, math.nan],
+    "n": [2.5, 1, 2**26, 3.1e9, math.inf],
+    "u": [1e200, 3.1e9, 2**26, math.nan],
+}
+
+
+@st.composite
+def ratio_documents(draw):
+    """Small `ratio --in` documents: a valid one, or one with a field replaced
+    by a fractional, huge, NaN or infinite value, an unknown topology or a
+    degenerate basis."""
+    size = draw(st.integers(1, 5))
+    point = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    doc = {
+        "basis": draw(st.sampled_from([
+            {"u": [1.0, 0.0], "v": [0.0, 1.0]},
+            {"u": [1.0, 0.0], "v": [0.5, math.sqrt(3.0) / 2.0]},
+            {"u": [2.0, 0.0], "v": [0.3, 1.7]},
+        ])),
+        "topology": draw(st.sampled_from([{"type": "plane"}] * 2 + [{"type": "torus", "n": 7}])),
+        "coords": [list(p) for p in draw(st.lists(point, min_size=size, max_size=size, unique=True))],
+        "colors": draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size)),
+    }
+    if draw(st.booleans()):
+        doc["cartesian"] = [[x / 2, y / 3] for x, y in doc["coords"]]
+        doc["coords"] = None
+        doc["topology"] = {"type": "plane"}
+    points = "coords" if doc["coords"] else "cartesian"
+    change = draw(st.one_of(st.none(), st.sampled_from([points, points, "colors", "n", "type", "u"])))
+    if change == points:
+        row = doc[points][draw(st.integers(0, size - 1))]
+        row[draw(st.integers(0, 1))] = draw(st.sampled_from(_ODD[points]))
+    elif change == "colors":
+        doc["colors"][draw(st.integers(0, size - 1))] = draw(st.sampled_from(_ODD["colors"] + [size]))
+    elif change == "n":
+        doc["topology"] = {"type": "torus", "n": draw(st.sampled_from(_ODD["n"]))}
+    elif change == "type":
+        doc["topology"] = draw(st.sampled_from([{"type": "sphere"}, {"type": "Torus", "n": 4}, {}]))
+    elif change == "u":
+        doc["basis"] = draw(st.sampled_from([
+            {"u": [draw(st.sampled_from(_ODD["u"])), 0.0], "v": [0.0, 1.0]},
+            {"u": [1.0, 0.0], "v": [2.0, 0.0]},
+        ]))
+    return doc
+
+
+@given(doc=ratio_documents())
+@example(doc={  # one-point classes measured under a Gram entry above int64
+    "basis": {"u": [3.1e9, 0.0], "v": [0.0, 1.0]}, "topology": {"type": "plane"},
+    "coords": [[0, 0], [0, 1]], "colors": [0, 1],
+})
+@settings(max_examples=500, deadline=None)
+def test_ratio_document_exits_with_the_oracle_ratio_or_a_typed_error(tmp_path_factory, doc):
+    # an untyped exception escapes `main` (exit 1), and exit 6 is an internal bug
+    path = tmp_path_factory.getbasetemp() / "points.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+        code = main(["ratio", "--in", str(path)])
+    assert code in (0, 3), err.getvalue()
+    if code == 3:
+        assert err.getvalue().startswith("error: ")
+        return
+    assert doc["topology"]["type"] in ("plane", "torus")
+    cloud, colors = cloud_from_doc(doc)
+    labels = np.asarray(colors, dtype=float).astype(np.int64)
+    assert labels.min() >= 0 and labels.max() < cloud.size
+
+    def length(idx):
+        tree = kruskal(cloud.subset(idx), Metric.euclidean(cloud.topology))
+        return math.fsum(math.sqrt(e[2]) for e in tree)
+
+    lengths = [length(np.flatnonzero(labels == c)) for c in range(max(2, labels.max() + 1))]
+    expected = math.fsum(lengths) / length(np.arange(cloud.size))
+    assert json.loads(out.getvalue())["ratio"] == pytest.approx(expected, rel=1e-9)

@@ -11,6 +11,7 @@ from mstratio.errors import (
     DegenerateBasis,
     DuplicatePoints,
     MstRatioError,
+    TooLarge,
     TopologyMismatch,
 )
 from mstratio.lattice import (
@@ -209,6 +210,15 @@ class TestDistinctCoords:
         assert lattice_cloud(square_basis(), Topology.plane(), coords).size == 5
         with pytest.raises(DuplicatePoints):
             lattice_cloud(square_basis(), Topology.plane(), coords + [[-big, big]])
+
+    def test_measuring_far_apart_coords_raises_too_large(self):
+        # the int64 spreads of these rows wrap below zero; the clouds exist,
+        # but no offset of theirs can be measured exactly
+        top = 2**63 - 1
+        for coords in ([[-top, 0], [top, 0]], [[2**62, 0], [-2**62, 1]]):
+            cloud = lattice_cloud(square_basis(), Topology.plane(), coords)
+            with pytest.raises(TooLarge, match="too wide for exact squared lengths"):
+                distance(Metric.EUCLIDEAN_PLANE, cloud, 0, 1)
 
     def test_torus_duplicates_after_wrap(self):
         # (-1, -5) and (4, 0) are the same point of the 5-torus

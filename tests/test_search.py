@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,13 +278,42 @@ def test_class_lengths_split_into_passes_agree(monkeypatch):
 
 
 def test_spanning_path_matches_dense_path(monkeypatch):
-    # above the dense limit every new subset goes through spanning.mst instead
+    # above the list limit every class goes through spanning.mst, which must
+    # score what the Prims score: the hexagonal lengths under a hex metric
     cloud = torus6()
     init = Coloring(tuple([0, 1] * 18), 2)
-    dense = search.local_search(cloud, Metric.EUCLIDEAN_TORUS, init, 42, 200)
-    monkeypatch.setattr(search, "_DENSE_LIMIT", 0)
-    sparse = search.local_search(cloud, Metric.EUCLIDEAN_TORUS, init, 42, 200)
+    metrics = (Metric.EUCLIDEAN_TORUS, Metric.HEX_TORUS)
+    dense = [search.local_search(cloud, metric, init, 42, 200) for metric in metrics]
+    monkeypatch.setattr(search, "_LIST_PRIM_LIMIT", 0)
+    sparse = [search.local_search(cloud, metric, init, 42, 200) for metric in metrics]
     assert sparse == dense
+
+
+def test_spanning_path_scores_hex_lengths_above_the_limit():
+    # 1,600 points take the spanning path; a hex class scores its hexagonal lengths
+    cloud = generate_rhombus(hexagonal_basis(), 40, Topology.torus(40))
+    metric = Metric.HEX_TORUS
+    blue = np.sort(np.random.default_rng(3).choice(cloud.size, 36, replace=False))
+    labels = np.ones(cloud.size, dtype=np.int64)
+    labels[blue] = 0
+    cache = search.build_cache(cloud, Coloring(labels, 2), metric)
+    assert cache.dense_rows is None
+    assert cache.len_total == 1599.0
+    assert cache.class_lengths[0] == oracle_length(cloud, metric, blue)
+
+
+def test_build_cache_above_the_limit_holds_no_distance_matrix():
+    cloud = generate_rhombus(hexagonal_basis(), 30, Topology.torus(30))
+    init = Coloring(tuple(np.arange(cloud.size) % 2), 2)
+    tracemalloc.start()
+    try:
+        cache = search.build_cache(cloud, init, Metric.EUCLIDEAN_TORUS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # a 900 x 900 float matrix alone is 6.5 MB
+    assert cache.dense_rows is None
+    assert cache.len_total == 899.0
 
 
 def enumerated_max(cloud, metric):
