@@ -36,6 +36,8 @@ EXIT_CONSTRUCTION = 3
 EXIT_AUDIT = 4
 EXIT_IO = 5
 EXIT_INVARIANT = 6
+BRUTE_CEILING = 24  # 2^23 partitions: about a minute at the 7.5 us each that 22 points take
+SWEEP_VALUES = 10_000  # the most values one sweep range may yield
 
 
 def _f12(x):
@@ -128,8 +130,10 @@ def _parse_values(text: str) -> list[float]:
         step = parts[2] if len(parts) > 2 else 1.0
         if step <= 0:
             raise MstRatioError(f"sweep step must be positive, got {step:g}")
-        count = math.floor((stop - start) / step + 1e-9) + 1
-        return [start + i * step for i in range(max(count, 0))]
+        span = (stop - start) / step + 1e-9
+        if not span < SWEEP_VALUES:  # also NaN and infinite spans
+            raise MstRatioError(f"sweep range {text!r} must yield at most {SWEEP_VALUES} values")
+        return [start + i * step for i in range(max(math.floor(span) + 1, 0))]
     return [float(x) for x in text.split(",") if x]
 
 
@@ -269,13 +273,15 @@ def cmd_render(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, ceiling: int | None = None) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if ceiling is not None and value > ceiling:
+        raise argparse.ArgumentTypeError(f"must be <= {ceiling}, got {value}")
     return value
 
 
@@ -311,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_instance_args(p)
         p.set_defaults(fn=fn)
         if extra == "brute":
-            p.add_argument("--max-points", type=int, default=22)
+            p.add_argument("--max-points", default=22,
+                           type=functools.partial(_positive_int, ceiling=BRUTE_CEILING))
         elif extra == "anneal":
             p.add_argument("--seed", type=int, default=1)
             p.add_argument("--budget", type=_positive_int, default=10000)

@@ -20,6 +20,7 @@ from .errors import (
     InvariantViolation,
     MstRatioError,
     RegionTooSmall,
+    TooLarge,
     TopologyMismatch,
     ZeroDenominator,
 )
@@ -101,6 +102,8 @@ class Coloring:
 def random_coloring(rng: np.random.Generator, size: int) -> Coloring:
     """A 2-class coloring of uniform random labels; if they all agree, the
     first one is flipped."""
+    if size < 2:
+        raise TooLarge("need at least two points")
     labels = rng.integers(0, 2, size)
     if labels.min() == labels.max():
         labels[0] = 1 - labels[0]

@@ -6,15 +6,15 @@ space), a seeded simulated-annealing hill climber, and the incremental ratio
 maintenance it relies on: the denominator never changes and a single flip only
 touches two class trees.
 
-Classes are measured on one of two paths.  Up to `_LIST_PRIM_LIMIT` points
-the distance matrix is kept: batches of label rows go to `class_lengths`, a
-forest Prim batched over the rows, and one class the annealer's memo lacks to
-`_tree_length`, a Prim over Python lists (on one row the numpy Prim's time is
-per-call overhead).  Above the limit each class is one `spanning.mst`, and no
-V×V array is built.  Every path scores the `math.fsum` of the tree's weights,
-which are hexagonal lengths under a hex metric (`ratio --metric hex` reports
-Euclidean lengths of hex trees instead).  The memo maps a class's membership
-bitmask (a Python int, bit p for point p) to its length.
+Every search sets up in `_measure`, the one size decision: up to
+`_LIST_PRIM_LIMIT` points it keeps the distance matrix, above it builds no V×V
+array.  Batches of label rows go to `_batch_lengths` (no memo): `class_lengths`,
+a forest Prim batched over the rows, or one `spanning.mst` per class.  A class
+the annealer's memo lacks goes to `_mask_length`: the list Prim `_tree_length`
+(on one row the numpy Prim's time is per-call overhead) or one spanning tree.
+Every path scores the `math.fsum` of the tree's weights, hexagonal lengths under
+a hex metric (`ratio --metric hex` reports Euclidean lengths of hex trees
+instead).  The memo maps a class bitmask (bit p for point p) to its length.
 """
 from __future__ import annotations
 
@@ -122,39 +122,47 @@ class RatioCache:
         return math.fsum(self.class_lengths) / self.len_total
 
 
+def _spanning_length(cloud: PointCloud, metric: Metric, members) -> float:
+    """The hexagonal `fsum` (hex metric) or Euclidean total of `members`' spanning tree."""
+    tree = spanning.mst(cloud.subset(members), metric)
+    return math.fsum(tree.hex.tolist()) if metric.is_hex else tree.total_length
+
+
 def _mask_length(cloud: PointCloud, cache: RatioCache, mask: int) -> float:
     """Tree length of the class with membership bitmask `mask`, measured once:
-    by `_tree_length` up to `_LIST_PRIM_LIMIT` points, by one spanning tree
-    above (summing its hexagonal lengths under a hex metric)."""
+    by `_tree_length` up to `_LIST_PRIM_LIMIT` points, by one spanning tree above."""
     length = cache.memo.get(mask)
     if length is None:
-        members = _members(mask)
-        if cache.dense_rows is not None:
-            length = _tree_length(cache.dense_rows, members)
+        if cache.dense_rows is None:
+            length = _spanning_length(cloud, cache.metric, _members(mask))
         else:
-            tree = spanning.mst(cloud.subset(members), cache.metric)
-            length = math.fsum(tree.hex.tolist()) if cache.metric.is_hex else tree.total_length
+            length = _tree_length(cache.dense_rows, _members(mask))
         cache.memo[mask] = length
     return length
 
 
-def _lengths(cloud: PointCloud, cache: RatioCache, rows: np.ndarray) -> list[list[float]]:
-    """Class lengths of label rows; only subsets the memo lacks are evaluated,
-    in one `class_lengths` batch when more than one row has some."""
-    masks = _class_masks(rows, cache.arity)
-    missing = [i for i, row in enumerate(masks) if not all(m in cache.memo for m in row)]
-    if len(missing) > 1 and cache.dense_rows is not None:
-        fresh = class_lengths(np.asarray(cache.dense_rows), rows[missing], cache.arity).tolist()
-        for i, lengths in zip(missing, fresh):
-            cache.memo.update(zip(masks[i], lengths))
-    return [[_mask_length(cloud, cache, m) for m in row] for row in masks]
+def _batch_lengths(cloud: PointCloud, metric: Metric, d, rows, arity: int) -> np.ndarray:
+    """(B, arity) class lengths of B label rows, with no memo: `class_lengths` on
+    the distance matrix `d`, or one spanning tree per class when `d` is None."""
+    if d is not None:
+        return class_lengths(d, rows, arity)
+    members = (np.flatnonzero(row == c) for row in rows for c in range(arity))
+    return np.array([_spanning_length(cloud, metric, m) for m in members]).reshape(-1, arity)
+
+
+def _measure(cloud: PointCloud, metric: Metric) -> tuple[np.ndarray | None, float]:
+    """The distance matrix up to `_LIST_PRIM_LIMIT` points (None above) and the
+    length of the whole cloud's tree; every search measures its cloud here."""
+    if cloud.size < 2:
+        raise TooLarge("need at least two points")
+    d = lattice.distance_matrix(cloud, metric) if cloud.size <= _LIST_PRIM_LIMIT else None
+    return d, float(_batch_lengths(cloud, metric, d, np.zeros((1, cloud.size), np.int8), 1)[0, 0])
 
 
 def build_cache(cloud: PointCloud, coloring: Coloring, metric: Metric) -> RatioCache:
-    small = cloud.size <= _LIST_PRIM_LIMIT
-    rows = lattice.distance_matrix(cloud, metric).tolist() if small else None
-    cache = RatioCache(coloring.labels, coloring.arity, metric, [], math.nan, rows)
-    cache.len_total = _mask_length(cloud, cache, (1 << cloud.size) - 1)
+    d, len_total = _measure(cloud, metric)
+    rows = None if d is None else d.tolist()
+    cache = RatioCache(coloring.labels, coloring.arity, metric, [], len_total, rows)
     return _recolor(cloud, cache, coloring.labels)
 
 
@@ -190,10 +198,7 @@ def brute_force_max(
     v = cloud.size
     if v > max_points:
         raise TooLarge(f"{v} points exceed the cap of {max_points}")
-    if v < 2:
-        raise TooLarge("need at least two points")
-    d = lattice.distance_matrix(cloud, metric)
-    len_total = float(class_lengths(d, np.zeros((1, v), dtype=np.int8), 1)[0, 0])
+    d, len_total = _measure(cloud, metric)
     bits = np.arange(v - 1)
     end = 1 << (v - 1)
     cand_rows = np.empty((0, v), dtype=np.int8)
@@ -203,7 +208,7 @@ def brute_force_max(
         rows = np.zeros((len(masks), v), dtype=np.int8)
         rows[:, 1:] = (masks[:, None] >> bits) & 1
         cand_rows = np.concatenate([cand_rows, rows])
-        cand_lengths = np.concatenate([cand_lengths, class_lengths(d, rows, 2)])
+        cand_lengths = np.concatenate([cand_lengths, _batch_lengths(cloud, metric, d, rows, 2)])
         ratios = (cand_lengths[:, 0] + cand_lengths[:, 1]) / len_total
         keep = ratios >= ratios.max() - _TIE
         cand_rows, cand_lengths = cand_rows[keep], cand_lengths[keep]
@@ -224,21 +229,17 @@ def sampled_max(
     skipped, and MstRatioError is raised if every sample is trivial."""
     if samples < 1:
         raise MstRatioError(f"samples must be >= 1, got {samples}")
-    v = cloud.size
-    if v < 2:
-        raise TooLarge("need at least two points")
+    d, len_total = _measure(cloud, metric)
     rng = np.random.Generator(np.random.Philox(seed))
-    d = lattice.distance_matrix(cloud, metric)
-    len_total = float(class_lengths(d, np.zeros((1, v), dtype=np.int8), 1)[0, 0])
     best = -1.0
     best_labels = None
     for start in range(0, samples, _BATCH):
         # one (k, v) draw is the same stream as k draws of v labels
-        rows = rng.integers(0, 2, (min(_BATCH, samples - start), v))
+        rows = rng.integers(0, 2, (min(_BATCH, samples - start), cloud.size))
         rows = rows[rows.min(axis=1) != rows.max(axis=1)]
         if not len(rows):
             continue
-        lengths = class_lengths(d, rows, 2)
+        lengths = _batch_lengths(cloud, metric, d, rows, 2)
         ratios = (lengths[:, 0] + lengths[:, 1]) / len_total
         i = int(ratios.argmax())
         if ratios[i] > best:
@@ -319,8 +320,7 @@ def local_search(
                 best_blue = blue
     labels = tuple(1 - (best_blue >> p & 1) for p in range(v))
     flips = np.asarray(labels) ^ np.eye(v, dtype=np.int64)  # row p flips point p
-    flag = all(
-        math.fsum(lengths) / cache.len_total <= best + _TIE
-        for lengths in _lengths(cloud, cache, flips)
-    )
+    d = None if cache.dense_rows is None else np.asarray(cache.dense_rows)
+    lengths = _batch_lengths(cloud, metric, d, flips, 2)
+    flag = bool(((lengths[:, 0] + lengths[:, 1]) / cache.len_total <= best + _TIE).all())
     return SearchTrace(seed, tuple(steps), Coloring(labels, 2), best, flag)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import kruskal
 
+from mstratio import cli
 from mstratio.cli import build_parser, main
 from mstratio.lattice import Metric, cloud_from_doc
 
@@ -190,6 +191,20 @@ class TestSweepWorkers:
         assert "n must be a 64-bit integer, not 4.5" in captured.err
         assert self.RecordingPool.sizes == []
 
+    @pytest.mark.parametrize("values", ["4:1000000:1", "4:10004:1", "4:inf:1", "nan:8"])
+    def test_range_of_too_many_values_exits_three(self, capsys, monkeypatch, values):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no sweep value may be built")
+
+        monkeypatch.setattr(cli, "build_construction", refuse)
+        code = main(["sweep", "--family", "checkerboard", "--values", values])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "must yield at most 10000 values" in captured.err
+
+    def test_range_of_the_most_values_is_built(self):
+        assert len(cli._parse_values("4:10003:1")) == cli.SWEEP_VALUES
+
     @pytest.mark.parametrize("threads", ["two", "2.5", ""])
     def test_non_integer_threads_exit_two(self, capsys, monkeypatch, threads):
         monkeypatch.setenv("MSTRATIO_THREADS", threads)
@@ -243,6 +258,21 @@ class TestBrute:
         assert code == 0
         doc = json.loads(out)
         assert doc["ratio"] == pytest.approx(2 * math.sqrt(2) / 3, abs=1e-9)
+
+    @pytest.mark.parametrize("max_points", ["64", "25", "0"])
+    def test_max_points_beyond_the_ceiling_exits_two(self, capsys, max_points):
+        # 64 points would start on 2^63 partitions
+        with pytest.raises(SystemExit) as exc:
+            main(["brute", "--construction", "packing:quarter", "--torus", "8",
+                  "--max-points", max_points])
+        assert exc.value.code == 2
+        assert "--max-points" in capsys.readouterr().err
+
+    def test_max_points_at_the_ceiling_accepted(self, capsys):
+        code, out = run(capsys, "brute", "--construction", "packing:quarter", "--torus", "4",
+                        "--max-points", "24")
+        assert code == 0
+        assert json.loads(out)["ratio"] == pytest.approx(17 / 15, abs=1e-9)
 
 
 #: sha256 of the stdout and the trace CSV of the default 10,000-step anneal on
@@ -298,6 +328,16 @@ class TestAnneal:
                   "--budget", budget])
         assert exc.value.code == 2
         assert "--budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coords", [[[0, 0]], []])
+    @pytest.mark.parametrize("init", ["random", "given"])
+    def test_fewer_than_two_points_exit_three(self, capsys, tmp_path, coords, init):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"basis": {"u": [1, 0], "v": [0, 1]}, "coords": coords}))
+        code = main(["anneal", "--in", str(path), "--init", init])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: need at least two points\n"
 
 
 class TestHabitat:

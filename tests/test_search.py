@@ -316,6 +316,28 @@ def test_build_cache_above_the_limit_holds_no_distance_matrix():
     assert cache.len_total == 899.0
 
 
+def test_sampled_max_above_the_limit_holds_no_distance_matrix():
+    cloud = generate_rhombus(hexagonal_basis(), 30, Topology.torus(30))
+    tracemalloc.start()
+    try:
+        _, best = search.sampled_max(cloud, Metric.EUCLIDEAN_TORUS, samples=16, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # a 900 x 900 float matrix alone is 6.5 MB
+    assert best == 1.0333860768746652
+
+
+@pytest.mark.parametrize("metric", [Metric.EUCLIDEAN_TORUS, Metric.HEX_TORUS])
+def test_batch_searches_match_across_the_limit(monkeypatch, metric):
+    # above the limit each class of a batch is one spanning.mst
+    small = generate_rhombus(hexagonal_basis(), 3, Topology.torus(3))
+    dense = search.brute_force_max(small, metric), search.sampled_max(torus6(), metric, 300, 5)
+    monkeypatch.setattr(search, "_LIST_PRIM_LIMIT", 0)
+    sparse = search.brute_force_max(small, metric), search.sampled_max(torus6(), metric, 300, 5)
+    assert sparse == dense
+
+
 def enumerated_max(cloud, metric):
     """Plain enumeration over the oracle under the documented tie rule: the
     candidates are the largest ratio and every ratio within 1e-12 of it, the
@@ -446,7 +468,7 @@ def test_tree_length_sums_exactly():
 
 
 def test_forest_path_matches_list_path(monkeypatch):
-    # with the list limit at 0 every single class goes through class_lengths
+    # with the list limit at 0 every single class goes through spanning.mst
     cloud = torus6()
     metric = Metric.EUCLIDEAN_TORUS
     init = Coloring(tuple([0, 1] * 18), 2)
